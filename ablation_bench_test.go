@@ -1,6 +1,6 @@
 package dnnparallel
 
-// Ablation benchmarks for the design choices DESIGN.md calls out and the
+// Ablation benchmarks for the cost model's design choices and the
 // Section 4 / Limitations discussion items:
 //
 //   - BenchmarkMemoryVsGrid          — the model-replication / data-replication

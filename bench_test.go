@@ -4,7 +4,7 @@
 // custom metrics (speedup_total, speedup_comm, …) so that
 // `go test -bench=. -benchmem` regenerates the quantitative story of the
 // paper alongside the timing of the harness itself. The textual figures
-// are produced by cmd/dnnsim; EXPERIMENTS.md records paper-vs-measured.
+// are produced by cmd/dnnsim (README.md, "Tools").
 package dnnparallel
 
 import (

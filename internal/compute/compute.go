@@ -3,8 +3,8 @@
 // The paper measures one-epoch AlexNet time on a single Intel KNL with
 // Intel Caffe for every batch size (its Fig. 4) and feeds that curve into
 // the scaling studies. We have no KNL and no Caffe, so this package
-// substitutes a parametric execution model with the same observable shape
-// (DESIGN.md §2):
+// substitutes a parametric execution model with the same observable
+// shape:
 //
 //	T_iter(b) = FLOPs(b) / (Peak · eff(b)) + |W|/UpdateRate + FixedIter
 //	eff(b)    = EffMax · b/(b + BHalf) / (1 + SpillPenalty·(b/SpillB)²)

@@ -8,6 +8,7 @@ import (
 
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -139,9 +140,15 @@ func TestMemoryGradientMirrorsWeights(t *testing.T) {
 	}
 }
 
-// MemoryPipeline with one micro-batch must reproduce Memory exactly —
-// every field, bit for bit — for both schedule shapes, any stage count,
-// and random nets, grids, and assignments.
+// singleStageMemory is MemoryStages over the single-stage partition of
+// net's weighted layers on grid g.
+func singleStageMemory(net *nn.Network, B int, g grid.Grid, assign Assignment, sched timeline.Schedule) MemoryEstimate {
+	return MemoryStages(net, B, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g}, assign, sched)[0]
+}
+
+// A single stage with one micro-batch must reproduce Memory exactly —
+// every field, bit for bit — for both schedule shapes, any declared
+// stage count, and random nets, grids, and assignments.
 func TestMemoryPipelineSingleReproducesMemory(t *testing.T) {
 	f := func(seed int64, prRaw, pcRaw, bRaw uint8, stagesRaw uint8, shapeRaw bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -157,45 +164,54 @@ func TestMemoryPipelineSingleReproducesMemory(t *testing.T) {
 			shape = timeline.OneFOneB
 		}
 		sched := timeline.Schedule{Shape: shape, MicroBatches: 1, Stages: 1 + int(stagesRaw)%8}
-		return MemoryPipeline(net, B, g, assign, sched) == Memory(net, B, g, assign)
+		return singleStageMemory(net, B, g, assign, sched) == Memory(net, B, g, assign)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The activation high-water mark is monotone in the number of in-flight
-// micro-batches: deeper 1f1b pipelines stash more, and the gpipe flush
-// (all M in flight) is the upper envelope.
+// The activation high-water mark follows the in-flight micro-batch
+// count: 1f1b's warm-up admits min(M, S−k) micro-batches into stage k,
+// gpipe's flush keeps all M in flight everywhere (the upper envelope).
+// On a single stage, 1f1b stashes one micro-batch and gpipe all M, while
+// weights and gradients stay those of Memory.
 func TestMemoryPipelineStashMonotone(t *testing.T) {
 	net := nn.AlexNet()
 	g := grid.Grid{Pr: 8, Pc: 8}
 	const B, M = 1024, 16
 	assign := UniformAssignment(net, Model)
-	prev := 0.0
+	prev := 0
 	for _, S := range []int{1, 2, 4, 8, 16} {
 		sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: M, Stages: S}
-		if got, want := PipelineInFlight(sched), S; got != want {
-			t.Fatalf("1f1b S=%d M=%d: in-flight %d, want min(M,S)=%d", S, M, got, want)
+		if got, want := stageInFlight(sched, 0), S; got != want {
+			t.Fatalf("1f1b S=%d M=%d: stage-0 in-flight %d, want min(M,S)=%d", S, M, got, want)
 		}
-		act := MemoryPipeline(net, B, g, assign, sched).ActivationWords
-		if act <= prev {
-			t.Fatalf("1f1b S=%d: stash %g did not grow beyond %g", S, act, prev)
+		if got := stageInFlight(sched, S-1); got != 1 {
+			t.Fatalf("1f1b S=%d: last-stage in-flight %d, want 1", S, got)
 		}
-		prev = act
+		if got := stageInFlight(sched, 0); got <= prev {
+			t.Fatalf("1f1b S=%d: in-flight %d did not grow beyond %d", S, got, prev)
+		}
+		prev = stageInFlight(sched, 0)
 	}
 	gp := timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 4}
-	if got, want := PipelineInFlight(gp), M; got != want {
-		t.Fatalf("gpipe in-flight %d, want all %d", got, want)
+	for k := 0; k < 4; k++ {
+		if got := stageInFlight(gp, k); got != M {
+			t.Fatalf("gpipe stage %d in-flight %d, want all %d", k, got, M)
+		}
 	}
-	gpAct := MemoryPipeline(net, B, g, assign, gp).ActivationWords
-	if gpAct < prev {
-		t.Fatalf("gpipe stash %g must be the upper envelope (1f1b deepest: %g)", gpAct, prev)
+	one := singleStageMemory(net, B, g, assign, timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: M})
+	all := singleStageMemory(net, B, g, assign, timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M})
+	if micro := Memory(net, B/M, g, assign); one.ActivationWords != micro.ActivationWords {
+		t.Fatalf("1f1b S=1 stash %g, want one micro-batch's activations %g", one.ActivationWords, micro.ActivationWords)
+	}
+	if all.ActivationWords != M*one.ActivationWords {
+		t.Fatalf("gpipe S=1 stash %g, want M × 1f1b stash %g", all.ActivationWords, M*one.ActivationWords)
 	}
 	// Weight and gradient footprints are micro-batch independent.
 	base := Memory(net, B, g, assign)
-	pm := MemoryPipeline(net, B, g, assign, gp)
-	if pm.WeightWords != base.WeightWords || pm.GradientWords != base.GradientWords {
+	if all.WeightWords != base.WeightWords || all.GradientWords != base.GradientWords {
 		t.Fatal("pipeline must not change weight/gradient footprints")
 	}
 }
@@ -214,7 +230,7 @@ func TestMemoryPipelinePanicsOnBadM(t *testing.T) {
 					t.Errorf("M=%d: expected a panic", sched.MicroBatches)
 				}
 			}()
-			MemoryPipeline(net, 64, g, nil, sched)
+			singleStageMemory(net, 64, g, nil, sched)
 		}()
 	}
 }

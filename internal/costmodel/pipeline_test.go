@@ -3,20 +3,31 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
-// The degenerate pipeline (M = 1) must price exactly like the
-// single-iteration timeline path: same breakdown, same layer times, same
-// makespan, and overhead equal to GridLayerTimes' residual — across
-// random nets, grids, policies, and both flat and two-level
-// environments.
+// singleStage prices a one-stage pipeline: StageIteration over the
+// single-stage partition of net's weighted layers on grid g.
+func singleStage(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment, cm compute.Model,
+	pol timeline.Policy, sched timeline.Schedule) (StagePipelineCost, error) {
+	part := stage.Balanced(len(net.WeightedLayers()), 1)
+	return e.StageIteration(net, B, part, []grid.Grid{g}, assign, cm, pol, sched)
+}
+
+// The degenerate pipeline (S = 1, M = 1) must price exactly like the
+// paper's single iteration composed from its independent primitives —
+// FullIntegrated breakdown, GridLayerTimes split, SimulateLayers
+// schedule: same makespan, and overhead equal to GridLayerTimes'
+// residual — across random nets, grids, policies, and both flat and
+// two-level environments.
 func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cm := compute.KNLCaffe()
@@ -33,7 +44,7 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 		B := g.Pc * (1 + rng.Intn(8))
 		assign := UniformAssignment(net, Model)
 		for _, pol := range []timeline.Policy{timeline.PolicyNone, timeline.PolicyBackprop, timeline.PolicyFull} {
-			pc, err := env.PipelineIteration(net, B, g, assign, cm, pol, timeline.Single())
+			sc, err := singleStage(env, net, B, g, assign, cm, pol, timeline.Single())
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -43,15 +54,19 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pc.Result.Makespan != want.Makespan {
-				t.Fatalf("trial %d policy %v: M=1 pipeline makespan %g != single-iteration %g",
-					trial, pol, pc.Result.Makespan, want.Makespan)
+			if !reflect.DeepEqual(sc.Breakdown, b) {
+				t.Fatalf("trial %d: S=1 M=1 breakdown differs from FullIntegrated", trial)
 			}
-			if pc.Overhead != ov {
-				t.Fatalf("trial %d: M=1 overhead %g != GridLayerTimes residual %g", trial, pc.Overhead, ov)
+			if sc.Result.Makespan != want.Makespan {
+				t.Fatalf("trial %d policy %v: S=1 M=1 makespan %g != single-iteration %g",
+					trial, pol, sc.Result.Makespan, want.Makespan)
 			}
-			if pc.IterSeconds() != want.Makespan+ov {
-				t.Fatalf("trial %d: IterSeconds %g != makespan+overhead %g", trial, pc.IterSeconds(), want.Makespan+ov)
+			if sc.Overhead != ov || sc.FlushSeconds != 0 {
+				t.Fatalf("trial %d: S=1 M=1 overhead/flush %g/%g != GridLayerTimes residual %g/0",
+					trial, sc.Overhead, sc.FlushSeconds, ov)
+			}
+			if sc.IterSeconds() != want.Makespan+ov {
+				t.Fatalf("trial %d: IterSeconds %g != makespan+overhead %g", trial, sc.IterSeconds(), want.Makespan+ov)
 			}
 		}
 	}
@@ -69,12 +84,12 @@ func TestPipelineSweetSpotOnAlexNet(t *testing.T) {
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	iter := func(M int, pol timeline.Policy) float64 {
-		s, err := e.PipelineIterationSeconds(net, 2048, g, assign, cm, pol,
+		sc, err := singleStage(e, net, 2048, g, assign, cm, pol,
 			timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return sc.IterSeconds()
 	}
 	if m1, m2 := iter(1, timeline.PolicyBackprop), iter(2, timeline.PolicyBackprop); m2 >= m1 {
 		t.Errorf("backprop: M=2 (%g) should beat M=1 (%g) by hiding forward all-gathers", m2, m1)
@@ -104,7 +119,7 @@ func TestPipelineCommFlushAccounting(t *testing.T) {
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	const B, M = 2048, 8
-	pc, err := e.PipelineIteration(net, B, g, assign, cm, timeline.PolicyBackprop,
+	pc, err := singleStage(e, net, B, g, assign, cm, timeline.PolicyBackprop,
 		timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +148,7 @@ func TestPipelineValidationErrors(t *testing.T) {
 		{"bad shape", 64, grid.Grid{Pr: 4, Pc: 4}, timeline.Schedule{Shape: timeline.Shape(9), MicroBatches: 2, Stages: 1}},
 	}
 	for _, c := range cases {
-		if _, err := e.PipelineIteration(net, c.B, c.g, assign, cm, timeline.PolicyBackprop, c.sched); err == nil {
+		if _, err := singleStage(e, net, c.B, c.g, assign, cm, timeline.PolicyBackprop, c.sched); err == nil {
 			t.Errorf("%s: expected an error", c.name)
 		}
 	}

@@ -1,9 +1,13 @@
-// Stage-partitioned pricing: one pipelined iteration where each stage
-// owns a contiguous slice of the network's weighted layers and prices
-// only those layers, on its own grid, at its own position in the
-// machine. This replaces the replicated-net feed (every stage priced as
-// if it ran the whole network on the whole grid) with the real resource
-// model of pipeline-parallel training:
+// Stage-partitioned pipeline pricing: one M-micro-batch iteration where
+// each of S stages owns a contiguous slice of the network's weighted
+// layers and prices only those layers, on its own grid, at its own
+// position in the machine. The paper's Eqs. 3–9 price exactly one
+// bulk-synchronous iteration; splitting the global batch B into M
+// micro-batches of B/M and streaming them through a timeline.Schedule
+// exposes the regime the closed forms cannot see — inter-batch
+// pipelining hides communication no intra-iteration overlap policy can,
+// at the price of the α-term penalty of B/M-sized messages and the
+// activation stash of in-flight micro-batches. The resource model:
 //
 //   - stage k's collectives run on stage k's rank block — a contiguous
 //     run of machine ranks starting where stage k−1's block ends — so a
@@ -18,9 +22,10 @@
 //     compute.GridLayerTimes) and the iteration pays one flush update
 //     after the deferred ∆W all-reduce (flushSeconds).
 //
-// With S = 1 the whole construction degenerates bit-for-bit to
-// Env.PipelineIteration (property-tested): one stage, offset 0, no
-// handoffs, same breakdown, same schedule, same overhead.
+// With S = 1 and M = 1 the construction degenerates to the paper's
+// single iteration (property-tested): one stage, offset 0, no handoffs,
+// the FullIntegrated breakdown, the GridLayerTimes split, and the
+// SimulateLayers schedule.
 package costmodel
 
 import (
@@ -81,7 +86,11 @@ type StagePipelineCost struct {
 	Result *timeline.Result
 	// Breakdown concatenates the per-stage per-MICRO-BATCH collective
 	// costs in layer order (each layer priced on its own stage's grid at
-	// its stage's rank offset).
+	// its stage's rank offset, at batch size B/M, where the α term of
+	// small messages becomes visible). The ∆W all-reduce appears once
+	// per layer in the schedule (deferred to the flush) even though the
+	// breakdown lists it per micro-batch; its cost is batch-size
+	// independent.
 	Breakdown *Breakdown
 	// Stages is the per-stage summary table, Partition the layer split
 	// it describes (indices into the weighted-layer list).
@@ -90,8 +99,13 @@ type StagePipelineCost struct {
 	// Overhead is the unsimulated residual: fixed framework cost, per-
 	// micro-batch unweighted compute, and the flush update.
 	Overhead float64
-	// FlushSeconds is the post-flush SGD update included in Overhead
-	// (see PipelineCost.FlushSeconds).
+	// FlushSeconds is the post-flush SGD weight update included in
+	// Overhead: with M > 1 the per-micro-batch update term of
+	// compute.GridLayerTimes models the local gradient *accumulation*,
+	// and the real weight update runs once after the deferred ∆W
+	// all-reduce — one more pass over each stage's local weight shard at
+	// UpdateRate, un-overlappable. Zero at M = 1, where the
+	// per-micro-batch term is the update itself.
 	FlushSeconds float64
 }
 
@@ -151,9 +165,8 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	}
 
 	// Per-layer collective pricing, each stage on its own grid at its own
-	// offset. At S = 1 this is exactly FullIntegrated (same desc, same
-	// loop), keeping the degenerate case bit-identical to
-	// PipelineIteration.
+	// offset. At S = 1 this is exactly FullIntegrated at batch B/M (same
+	// desc, same loop).
 	desc := gridDesc("full integrated", grids[0], micro)
 	if S > 1 {
 		desc = stageDesc(grids, micro)
@@ -209,8 +222,8 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	// Unsimulated overhead: fixed cost once, unweighted layers once per
 	// micro-batch on their owning stage's grid (the stage of the nearest
 	// preceding weighted layer), flush update once. The accumulation
-	// mirrors GridLayerTimes + PipelineIteration term for term so S = 1
-	// reproduces their float arithmetic exactly.
+	// mirrors GridLayerTimes term for term so S = 1 reproduces its float
+	// arithmetic exactly.
 	ov := cm.FixedIter
 	wpos := 0
 	owner := 0
@@ -276,6 +289,36 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 		Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
 		FlushSeconds: flush,
 	}, nil
+}
+
+// validatePipeline checks the (B, M, grid) combination: micro-batches
+// must tile the global batch exactly and still feed every grid column at
+// least one sample.
+func validatePipeline(B int, g grid.Grid, sched timeline.Schedule) error {
+	M := sched.MicroBatches
+	if M < 1 {
+		return fmt.Errorf("costmodel: need ≥ 1 micro-batch, got M=%d", M)
+	}
+	if B%M != 0 {
+		return fmt.Errorf("costmodel: micro-batch count M=%d does not divide batch size B=%d", M, B)
+	}
+	if micro := B / M; micro < g.Pc {
+		return fmt.Errorf("costmodel: micro-batch size B/M=%d is thinner than Pc=%d (one sample per grid column)", micro, g.Pc)
+	}
+	return nil
+}
+
+// flushSeconds prices the end-of-iteration weight update after the
+// gradient flush: one UpdateRate pass over each layer's local weight
+// shard, summed in forward layer order (prOf returns the Pr shard factor
+// of the layer at widx position k, so each layer is sharded by its own
+// stage's grid).
+func flushSeconds(net *nn.Network, cm compute.Model, widx []int, prOf func(k int) float64) float64 {
+	var s float64
+	for k, li := range widx {
+		s += cm.UpdateTime(float64(net.Layers[li].Weights()) / prOf(k))
+	}
+	return s
 }
 
 // stageDesc renders "stage-partitioned, S=<S>, grids=PrxPc|…, B=<B>"

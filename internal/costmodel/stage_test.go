@@ -16,12 +16,32 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
-// The degenerate partition (S = 1) must reproduce PipelineIteration
-// bit-for-bit — same breakdown, same schedule result, same overhead and
-// flush, float for float — across random nets, grids, policies, schedule
-// shapes, and micro-batch counts, on flat and hierarchical machines.
-// This is the contract that lets the planner route every search through
-// the stage path without perturbing single-stage plans.
+// composedPipeline is the test-local oracle for a one-stage pipeline,
+// built from the independent primitives: the Eq. 3–9 breakdown and the
+// compute split re-derived at micro-batch size B/M, the multi-iteration
+// schedule simulator, and the overhead formula — FixedIter once per
+// iteration, unweighted-layer compute once per micro-batch, and (M > 1)
+// one flush update over each layer's Pr-sharded weights.
+func composedPipeline(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment, cm compute.Model,
+	pol timeline.Policy, sched timeline.Schedule) (b *Breakdown, res *timeline.Result, overhead, flush float64, err error) {
+	M := sched.MicroBatches
+	b = e.FullIntegrated(net, B/M, g, assign)
+	times, ov := cm.GridLayerTimes(net, B/M, g)
+	res, err = timeline.SimulatePipeline(TimelineLayers(b, times), pol, sched)
+	if M > 1 {
+		for _, li := range net.WeightedLayers() {
+			flush += cm.UpdateTime(float64(net.Layers[li].Weights()) / float64(g.Pr))
+		}
+	}
+	return b, res, cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush, flush, err
+}
+
+// The degenerate partition (S = 1) must reproduce the composed one-stage
+// pipeline bit-for-bit — same breakdown, same schedule result, same
+// overhead and flush, float for float — across random nets, grids,
+// policies, schedule shapes, and micro-batch counts, on flat and
+// hierarchical machines. This is the contract that lets the planner
+// route every simulated candidate through the stage path.
 func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cm := compute.KNLCaffe()
@@ -42,31 +62,31 @@ func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 		part := stage.Balanced(len(net.WeightedLayers()), 1)
 		for _, pol := range []timeline.Policy{timeline.PolicyNone, timeline.PolicyBackprop, timeline.PolicyFull} {
 			sched := timeline.Schedule{Shape: shape, MicroBatches: M, Stages: 1}
-			pc, err := env.PipelineIteration(net, B, g, assign, cm, pol, sched)
+			b, res, overhead, flush, err := composedPipeline(env, net, B, g, assign, cm, pol, sched)
 			if err != nil {
-				t.Fatalf("trial %d: pipeline: %v", trial, err)
+				t.Fatalf("trial %d: composed pipeline: %v", trial, err)
 			}
 			sc, err := env.StageIteration(net, B, part, []grid.Grid{g}, assign, cm, pol, sched)
 			if err != nil {
 				t.Fatalf("trial %d: stage: %v", trial, err)
 			}
-			if sc.Result.Makespan != pc.Result.Makespan {
-				t.Fatalf("trial %d policy %v M=%d: S=1 makespan %g != pipeline %g",
-					trial, pol, M, sc.Result.Makespan, pc.Result.Makespan)
+			if sc.Result.Makespan != res.Makespan {
+				t.Fatalf("trial %d policy %v M=%d: S=1 makespan %g != composed %g",
+					trial, pol, M, sc.Result.Makespan, res.Makespan)
 			}
-			if !reflect.DeepEqual(sc.Result.Spans, pc.Result.Spans) {
-				t.Fatalf("trial %d policy %v: S=1 spans differ from pipeline", trial, pol)
+			if !reflect.DeepEqual(sc.Result.Spans, res.Spans) {
+				t.Fatalf("trial %d policy %v: S=1 spans differ from the composed pipeline", trial, pol)
 			}
-			if sc.Overhead != pc.Overhead || sc.FlushSeconds != pc.FlushSeconds {
-				t.Fatalf("trial %d: S=1 overhead/flush %g/%g != pipeline %g/%g",
-					trial, sc.Overhead, sc.FlushSeconds, pc.Overhead, pc.FlushSeconds)
+			if sc.Overhead != overhead || sc.FlushSeconds != flush {
+				t.Fatalf("trial %d: S=1 overhead/flush %g/%g != composed %g/%g",
+					trial, sc.Overhead, sc.FlushSeconds, overhead, flush)
 			}
-			if !reflect.DeepEqual(sc.Breakdown, pc.Breakdown) {
-				t.Fatalf("trial %d: S=1 breakdown differs from pipeline:\n%+v\nvs\n%+v",
-					trial, sc.Breakdown, pc.Breakdown)
+			if !reflect.DeepEqual(sc.Breakdown, b) {
+				t.Fatalf("trial %d: S=1 breakdown differs from FullIntegrated(B/M):\n%+v\nvs\n%+v",
+					trial, sc.Breakdown, b)
 			}
-			if sc.IterSeconds() != pc.IterSeconds() {
-				t.Fatalf("trial %d: S=1 IterSeconds %g != pipeline %g", trial, sc.IterSeconds(), pc.IterSeconds())
+			if want := res.Makespan + overhead; sc.IterSeconds() != want {
+				t.Fatalf("trial %d: S=1 IterSeconds %g != composed %g", trial, sc.IterSeconds(), want)
 			}
 			if len(sc.Stages) != 1 || sc.Stages[0].BoundaryWords != 0 || sc.Stages[0].BoundarySeconds != 0 {
 				t.Fatalf("trial %d: S=1 stage table %+v should have one boundary-free stage", trial, sc.Stages)
@@ -203,18 +223,21 @@ func TestStageIterationValidation(t *testing.T) {
 	}
 }
 
-// MemoryStages: the single-stage estimate reproduces MemoryPipeline
-// exactly, and splitting stages splits the weight footprint while the
-// 1F1B stash gradient keeps earlier stages' activation stash at least as
-// large as later ones'.
+// MemoryStages: the single-stage estimate is Memory at micro-batch size
+// B/M with every micro-batch's activations stashed (gpipe), and
+// splitting stages splits the weight footprint while the 1F1B stash
+// gradient keeps earlier stages' activation stash at least as large as
+// later ones'.
 func TestMemoryStages(t *testing.T) {
 	net := nn.AlexNet()
 	widx := net.WeightedLayers()
 	g := grid.Grid{Pr: 4, Pc: 4}
 	sched := timeline.Schedule{Shape: timeline.GPipe, MicroBatches: 4, Stages: 1}
 	one := MemoryStages(net, 256, stage.Balanced(len(widx), 1), []grid.Grid{g}, nil, sched)
-	if len(one) != 1 || !reflect.DeepEqual(one[0], MemoryPipeline(net, 256, g, nil, sched)) {
-		t.Fatalf("S=1 MemoryStages %+v != MemoryPipeline %+v", one, MemoryPipeline(net, 256, g, nil, sched))
+	want := Memory(net, 256/4, g, nil)
+	want.ActivationWords *= 4
+	if len(one) != 1 || !reflect.DeepEqual(one[0], want) {
+		t.Fatalf("S=1 MemoryStages %+v != gpipe stash of Memory(B/M) %+v", one, want)
 	}
 	two := MemoryStages(net, 256, stage.Balanced(len(widx), 2), []grid.Grid{g, g}, nil,
 		timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4})

@@ -1,8 +1,8 @@
 // Package data generates deterministic synthetic datasets standing in for
-// ImageNet (DESIGN.md §2): seeded Gaussian inputs with labels produced by
-// a fixed random linear teacher, so that (a) every engine sees bit-identical
-// inputs, and (b) the task is learnable, letting integration tests assert
-// that training actually reduces loss.
+// ImageNet: seeded Gaussian inputs with labels produced by a fixed random
+// linear teacher, so that (a) every engine sees bit-identical inputs, and
+// (b) the task is learnable, letting integration tests assert that
+// training actually reduces loss.
 package data
 
 import (

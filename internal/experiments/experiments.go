@@ -2,8 +2,7 @@
 // evaluation (Section 3) from this repository's cost model, compute model,
 // planner, and executable engines. Each experiment has a structured result
 // type plus a Render function producing the text the cmd/dnnsim CLI and
-// the bench harness print. EXPERIMENTS.md records paper-vs-measured for
-// each.
+// the bench harness print (README.md, "Tools").
 package experiments
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dnnparallel/internal/grid"
 	"dnnparallel/internal/planner"
 	"dnnparallel/internal/report"
 	"dnnparallel/internal/timeline"
@@ -42,7 +43,8 @@ func (s Setup) TimelineStudy(mode planner.Mode, pol timeline.Policy, B, P int) (
 		// Pin the placement too: Evaluate would re-search it per policy
 		// and could flip to a different placement (hence assignment),
 		// breaking the same-configuration contract of the comparison.
-		plan := planner.EvaluateAt(s.Net, B, res.Best.Grid, res.Best.Placement, o)
+		o.Placements = []grid.Placement{res.Best.Placement}
+		plan := planner.Evaluate(s.Net, B, res.Best.Grid, o)
 		if plan.Feasible {
 			tr.ByPolicy[p] = plan.IterSeconds
 		}

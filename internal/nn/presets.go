@@ -9,8 +9,7 @@ import (
 // evaluation: 5 convolutional and 3 fully-connected layers on 227×227×3
 // ImageNet crops. The ungrouped single-tower variant has 62.4 M weights
 // (the grouped two-GPU original is 61 M; the difference is confined to
-// conv2/4/5 and does not change any qualitative result — see
-// EXPERIMENTS.md).
+// conv2/4/5 and does not change any qualitative result).
 func AlexNet() *Network {
 	n := &Network{
 		Name:  "AlexNet",

@@ -8,8 +8,16 @@ import (
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
+
+// evaluateAt prices grid g at the single placement pl (Evaluate with
+// the placement search pinned).
+func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options) Plan {
+	opts.Placements = []grid.Placement{pl}
+	return Evaluate(net, B, g, opts)
+}
 
 // An explicit MicroBatches = {1} search must reproduce the legacy
 // (no-pipeline) planner exactly, plan by plan.
@@ -104,7 +112,7 @@ func TestPipelinePlanConsistency(t *testing.T) {
 	opts.MicroBatches = []int{4}
 	opts.Schedule = timeline.OneFOneB
 	g := grid.Grid{Pr: 64, Pc: 8}
-	p := EvaluateAt(net, 2048, g, grid.RowMajor, opts)
+	p := evaluateAt(net, 2048, g, grid.RowMajor, opts)
 	if !p.Feasible {
 		t.Fatalf("infeasible: %s", p.Reason)
 	}
@@ -121,8 +129,9 @@ func TestPipelinePlanConsistency(t *testing.T) {
 	if d := math.Abs(p.IterSeconds - (p.Timeline.Makespan + overhead)); d > 1e-15*p.IterSeconds {
 		t.Fatalf("IterSeconds %g != makespan %g + overhead %g", p.IterSeconds, p.Timeline.Makespan, overhead)
 	}
-	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4, Stages: 1}
-	want := costmodel.MemoryPipeline(net, 2048, g, p.Assignment, sched).TotalWords()
+	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4}
+	want := costmodel.MemoryStages(net, 2048, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g},
+		p.Assignment, sched)[0].TotalWords()
 	if p.MemoryWords != want {
 		t.Fatalf("MemoryWords %g != stash estimate %g", p.MemoryWords, want)
 	}
@@ -143,21 +152,22 @@ func TestStashAwareMemoryPruning(t *testing.T) {
 	const B = 2048
 
 	full := costmodel.Memory(net, B, g, costmodel.UniformAssignment(net, costmodel.Model)).TotalWords()
-	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 8, Stages: 1}
-	stash := costmodel.MemoryPipeline(net, B, g, costmodel.UniformAssignment(net, costmodel.Model), sched).TotalWords()
+	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 8}
+	stash := costmodel.MemoryStages(net, B, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g},
+		costmodel.UniformAssignment(net, costmodel.Model), sched)[0].TotalWords()
 	if stash >= full {
 		t.Fatalf("1f1b stash %g should undercut the full-batch footprint %g", stash, full)
 	}
 	opts.MemoryLimitWords = (stash + full) / 2
 
 	opts.MicroBatches = []int{1}
-	if p := EvaluateAt(net, B, g, grid.RowMajor, opts); p.Feasible {
+	if p := evaluateAt(net, B, g, grid.RowMajor, opts); p.Feasible {
 		t.Fatalf("M=1 should be memory-infeasible under limit %g (footprint %g)", opts.MemoryLimitWords, p.MemoryWords)
 	} else if !strings.Contains(p.Reason, "memory") {
 		t.Fatalf("M=1 infeasibility should cite memory, got %q", p.Reason)
 	}
 	opts.MicroBatches = []int{1, 8}
-	p := EvaluateAt(net, B, g, grid.RowMajor, opts)
+	p := evaluateAt(net, B, g, grid.RowMajor, opts)
 	if !p.Feasible {
 		t.Fatalf("1f1b M=8 should fit in the limit, got: %s", p.Reason)
 	}
@@ -184,13 +194,13 @@ func TestMicroBatchValidation(t *testing.T) {
 	// A non-dividing candidate is skipped with a reason, not fatal.
 	opts.MicroBatches = []int{3}
 	opts.TimelinePolicy = timeline.PolicyBackprop
-	p := EvaluateAt(net, 2048, grid.Grid{Pr: 32, Pc: 16}, grid.RowMajor, opts)
+	p := evaluateAt(net, 2048, grid.Grid{Pr: 32, Pc: 16}, grid.RowMajor, opts)
 	if p.Feasible || !strings.Contains(p.Reason, "divide") {
 		t.Fatalf("M=3 on B=2048: want a divisibility reason, got feasible=%v %q", p.Feasible, p.Reason)
 	}
 	// Micro-batches thinner than Pc are pruned.
 	opts.MicroBatches = []int{1024}
-	p = EvaluateAt(net, 2048, grid.Grid{Pr: 64, Pc: 8}, grid.RowMajor, opts)
+	p = evaluateAt(net, 2048, grid.Grid{Pr: 64, Pc: 8}, grid.RowMajor, opts)
 	if p.Feasible || !strings.Contains(p.Reason, "thinner") {
 		t.Fatalf("B/M=2 < Pc=8: want a thinner-than-Pc reason, got feasible=%v %q", p.Feasible, p.Reason)
 	}

@@ -145,11 +145,11 @@ type Options struct {
 	TimelinePolicy timeline.Policy
 	// MicroBatches lists the candidate micro-batch counts M for
 	// pipeline-parallel scheduling. Empty means {1}: no pipelining, the
-	// legacy single-iteration scoring, bit-identical to the pre-pipeline
-	// planner. Entries > 1 score an M-micro-batch schedule via
-	// costmodel.PipelineIteration and require UseTimeline (Optimize
-	// rejects them otherwise); candidates that do not divide B or leave
-	// a micro-batch thinner than Pc are skipped as infeasible. Each grid
+	// single-iteration scoring. Every timeline-scored candidate — any M,
+	// any stage count — is priced by costmodel.StageIteration (one stage
+	// when S = 1), so entries > 1 require UseTimeline (Optimize rejects
+	// them otherwise); candidates that do not divide B or leave a
+	// micro-batch thinner than Pc are skipped as infeasible. Each grid
 	// reports its best M (Plan.MicroBatch).
 	MicroBatches []int
 	// Schedule is the pipeline schedule shape used for candidates with
@@ -157,22 +157,18 @@ type Options struct {
 	// decides the activation stash the memory constraint prices:
 	// gpipe stashes all M in-flight micro-batches, 1f1b min(M, S).
 	Schedule timeline.Shape
-	// PipelineStages is the stage count S of the pipeline schedule
-	// (0 ⇒ 1). S = 1 is inter-batch pipelining on one device group —
-	// the natural setting for the paper's grids, where every process
-	// executes every layer; S > 1 partitions the weighted-layer list
-	// into S contiguous stages, each pricing only its own layers on its
-	// own P/S-sized grid at its own rank offset
+	// StageCounts lists the pipeline stage counts S to search (empty
+	// means {1}) and keeps the best. S = 1 is the paper's setting, where
+	// every process executes every layer (inter-batch pipelining on one
+	// device group when M > 1); each S > 1 partitions the weighted-layer
+	// list into S contiguous stages, each pricing only its own layers on
+	// its own P/S-sized grid at its own rank offset
 	// (costmodel.StageIteration), with the inter-stage activation
-	// handoffs priced against the topology level each cut crosses.
-	// Multi-stage search requires UseTimeline.
-	PipelineStages int
-	// StageCounts, when non-empty, searches several stage counts and
-	// keeps the best (overriding PipelineStages). Each S > 1 co-searches
-	// the contiguous layer partitions (see MaxPartitions) and the shared
-	// per-stage grid over the factorizations of P/S; S values that do
-	// not divide P, or exceed the weighted layer count, are reported
-	// infeasible.
+	// handoffs priced against the topology level each cut crosses, and
+	// co-searches the layer partitions (see MaxPartitions) with the
+	// shared per-stage grid over the factorizations of P/S. S values
+	// that do not divide P, or exceed the weighted layer count, are
+	// reported infeasible. Multi-stage search requires UseTimeline.
 	StageCounts []int
 	// Partition pins the stage boundaries: cut positions into the
 	// weighted-layer list (layer k starts stage when k ∈ Partition),
@@ -262,19 +258,11 @@ func (o Options) microBatches() []int {
 	return []int{1}
 }
 
-// schedule assembles the timeline.Schedule for a single-stage candidate M.
-func (o Options) schedule(m int) timeline.Schedule {
-	return timeline.Schedule{Shape: o.Schedule, MicroBatches: m, Stages: 1}
-}
-
-// stageCounts returns the stage-count search space: StageCounts when
-// set, else {max(1, PipelineStages)}.
+// stageCounts returns the stage-count search space (see
+// Options.StageCounts).
 func (o Options) stageCounts() []int {
 	if len(o.StageCounts) > 0 {
 		return o.StageCounts
-	}
-	if o.PipelineStages > 1 {
-		return []int{o.PipelineStages}
 	}
 	return []int{1}
 }
@@ -329,17 +317,10 @@ func layerComputeCosts(net *nn.Network) []float64 {
 	return costs
 }
 
-// partitions returns the candidate stage partitions for S stages: the
-// pinned Options.Partition when set, else stage.Enumerate over the
-// layer compute costs.
-func (o Options) partitions(net *nn.Network, S int) ([]stage.Partition, error) {
-	return o.partitionsFrom(layerComputeCosts(net), S)
-}
-
-// partitionsFrom is partitions with the per-layer compute costs already
-// extracted, so a multi-stage-count search derives them from the network
-// once instead of per stage count.
-func (o Options) partitionsFrom(costs []float64, S int) ([]stage.Partition, error) {
+// partitions returns the candidate stage partitions for S > 1 stages
+// over the per-weighted-layer compute costs: the pinned
+// Options.Partition when set, else stage.Enumerate over the costs.
+func (o Options) partitions(costs []float64, S int) ([]stage.Partition, error) {
 	L := len(costs)
 	if S > L {
 		return nil, fmt.Errorf("planner: S=%d stages exceed the network's %d weighted layers", S, L)
@@ -404,8 +385,9 @@ type Plan struct {
 	IterSeconds  float64 // combined (with overlap if requested)
 	EpochSeconds float64 // IterSeconds × ⌈N/B⌉ (0 when DatasetN unset)
 	// MemoryWords is the per-process footprint: costmodel.Memory for
-	// single-iteration plans, costmodel.MemoryPipeline (activation-stash
-	// high-water mark) for pipelined ones.
+	// closed-form plans; for simulated ones the largest
+	// costmodel.MemoryStages estimate (weights of the stage's own layers
+	// plus its activation-stash high-water mark).
 	MemoryWords float64
 	// ExposedCommSeconds is the communication the schedule could not hide
 	// behind computation (IterSeconds − CompSeconds, ≥ 0).
@@ -427,21 +409,23 @@ func (p Plan) String() string {
 		p.Grid, p.IterSeconds, p.CommSeconds, p.CompSeconds)
 }
 
-// feasible reports whether grid g can run batch B of net under mode, and
-// if not, why. The constraints:
+// structural returns why a (batch, grid, micro-batch) candidate violates
+// a structural constraint, or "" when it satisfies all of them:
 //   - Pc ≤ B: the batch dimension cannot be split thinner than one sample
 //     (the strong-scaling limit of pure batch parallelism, Section 2.4);
 //   - ConvBatch needs P ≤ B (conv layers run pure batch over all P);
 //   - Domain needs Pr ≤ the spatial height of every domain layer's input
-//     (a sample cannot be split into more slabs than it has rows).
-func feasible(net *nn.Network, B int, g grid.Grid, mode Mode) (bool, string) {
+//     (a sample cannot be split into more slabs than it has rows);
+//   - Pc ≤ MaxPc when the batch-parallelism cap is set;
+//   - M divides B, and the micro-batch B/M still feeds every grid column.
+func (o Options) structural(net *nn.Network, B int, g grid.Grid, micro int) string {
 	if g.Pc > B {
-		return false, fmt.Sprintf("Pc=%d exceeds batch size %d", g.Pc, B)
+		return fmt.Sprintf("Pc=%d exceeds batch size %d", g.Pc, B)
 	}
-	if mode == ConvBatch && g.P() > B {
-		return false, fmt.Sprintf("conv-batch needs P ≤ B, got P=%d > B=%d", g.P(), B)
+	if o.Mode == ConvBatch && g.P() > B {
+		return fmt.Sprintf("conv-batch needs P ≤ B, got P=%d > B=%d", g.P(), B)
 	}
-	if mode == ConvDomain && g.Pr > 1 {
+	if o.Mode == ConvDomain && g.Pr > 1 {
 		minH := math.MaxInt
 		for _, li := range net.ConvLayers() {
 			if h := net.Layers[li].In.H; h < minH {
@@ -449,10 +433,19 @@ func feasible(net *nn.Network, B int, g grid.Grid, mode Mode) (bool, string) {
 			}
 		}
 		if g.Pr > minH {
-			return false, fmt.Sprintf("Pr=%d exceeds smallest conv input height %d", g.Pr, minH)
+			return fmt.Sprintf("Pr=%d exceeds smallest conv input height %d", g.Pr, minH)
 		}
 	}
-	return true, ""
+	if o.MaxPc > 0 && g.Pc > o.MaxPc {
+		return fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, o.MaxPc)
+	}
+	if micro < 1 || B%micro != 0 {
+		return fmt.Sprintf("micro-batch count %d does not divide B=%d", micro, B)
+	}
+	if B/micro < g.Pc {
+		return fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/micro, g.Pc)
+	}
+	return ""
 }
 
 // assignmentFor builds the Eq. 9 layer assignment for a grid under a mode.
@@ -512,448 +505,41 @@ func autoAssignment(net *nn.Network, B int, g grid.Grid, env costmodel.Env) cost
 	return a
 }
 
-// Evaluate prices one (grid, mode) configuration over the placement and
-// stage-count search spaces — and, under the TimeToAccuracy objective,
-// over Options.BatchSizes — and returns the best plan (ties keep the
-// earlier placement, so flat machines deterministically report
-// row-major). For stage counts > 1 the grid is the shared per-stage
-// grid: the machine has S × g.P() ranks, stage k's block starting at
-// rank k·g.P().
+// Evaluate prices one pinned grid g over the rest of the search space —
+// placements, stage counts, partitions, micro-batch counts and, under
+// the TimeToAccuracy objective, Options.BatchSizes — and returns the best
+// plan. It runs Optimize's engine with g in place of the factorizations
+// (exhaustively: Evaluate never bounds), so every candidate is priced
+// exactly as Optimize prices it. For stage counts S > 1 the grid is the
+// shared per-stage grid: the machine has S × g.P() ranks, stage k's block
+// starting at rank k·g.P(). Within a batch size the cheapest stage count
+// wins on iteration time, across batch sizes on the objective; ties keep
+// the earlier candidate (so flat machines deterministically report
+// row-major).
 func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
-	batches := opts.batchSizes(B)
-	best := evaluateBatch(net, batches[0], g, opts)
-	for _, b := range batches[1:] {
-		if p := evaluateBatch(net, b, g, opts); p.Feasible &&
-			(!best.Feasible || opts.objectiveCost(&p) < opts.objectiveCost(&best)) {
-			best = p
-		}
-	}
-	return best
-}
-
-// evaluateBatch prices one (grid, batch size) pair over the stage-count
-// search space.
-func evaluateBatch(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
-	counts := opts.stageCounts()
-	best := evaluateStageCount(net, B, g, counts[0], opts, nil)
-	for _, S := range counts[1:] {
-		if p := evaluateStageCount(net, B, g, S, opts, nil); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds) {
-			best = p
-		}
-	}
-	return best
-}
-
-// evaluateStageCount prices one (grid, stage-count) pair: the legacy
-// single-stage path for S ≤ 1, the partition × placement × micro-batch
-// product for S > 1 (g shared per stage).
-func evaluateStageCount(net *nn.Network, B int, g grid.Grid, S int, opts Options, st *SearchStats) Plan {
-	if S <= 1 {
-		return evaluate(net, B, g, opts, st)
-	}
-	parts, err := opts.partitions(net, S)
-	if err != nil {
-		if st != nil {
-			st.Candidates++
-			st.StageCandidates++
-			st.InfeasiblePruned++
-		}
-		return Plan{Grid: g, Batch: B, Mode: opts.Mode, Stages: S, MicroBatch: 1, Schedule: opts.Schedule, Reason: err.Error()}
-	}
-	return evaluateStagedGrid(net, B, S, g, parts, opts, st)
-}
-
-// evaluateStagedGrid prices one shared per-stage grid over the
-// placement × partition × micro-batch product and returns the best
-// candidate (ties keep the earlier placement, then the earlier
-// partition, then the smaller M — the search order).
-func evaluateStagedGrid(net *nn.Network, B, S int, g grid.Grid, parts []stage.Partition, opts Options, st *SearchStats) Plan {
-	pls := opts.placements()
-	if g.Pr == 1 || g.Pc == 1 {
-		// Degenerate grids have identical rank mappings under every
-		// placement (see evaluate).
-		pls = pls[:1]
-	}
-	micros := opts.microBatches()
+	opts.DisableBounds = true
+	s := newSearch(net, B, g.P(), opts)
+	s.pin = &g
+	var st SearchStats
+	s.enumerate(&st)
+	s.run(&st)
+	// One batch size's slots are contiguous: fold its stage counts on
+	// iteration time, then the batch sizes on the objective.
 	var best Plan
-	first := true
-	for _, pl := range pls {
-		for _, part := range parts {
-			for _, m := range micros {
-				p := evaluateStagedAt(net, B, g, pl, part, opts, m, st)
-				if first || (p.Feasible && (!best.Feasible || p.IterSeconds < best.IterSeconds ||
-					(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch))) {
-					best = p
-					first = false
-				}
+	for i := 0; i < len(s.slots); {
+		bb := s.reduce(&s.slots[i])
+		j := i + 1
+		for ; j < len(s.slots) && s.slots[j].B == s.slots[i].B; j++ {
+			if p := s.reduce(&s.slots[j]); p.Feasible && (!bb.Feasible || p.IterSeconds < bb.IterSeconds) {
+				bb = p
 			}
 		}
+		if i == 0 || (bb.Feasible && (!best.Feasible || opts.objectiveCost(&bb) < opts.objectiveCost(&best))) {
+			best = bb
+		}
+		i = j
 	}
 	return best
-}
-
-// evaluateStagedAt prices one (grid, placement, partition, M) stage-
-// partitioned candidate via costmodel.StageIteration: every stage's
-// layers on the shared grid at the stage's rank offset, boundary
-// handoffs priced against the topology level each cut crosses, memory
-// pruned on the tightest stage's footprint.
-func evaluateStagedAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, part stage.Partition,
-	opts Options, micro int, st *SearchStats) Plan {
-	if st != nil {
-		st.Candidates++
-		st.StageCandidates++
-	}
-	S := part.Stages()
-	sched := timeline.Schedule{Shape: opts.Schedule, MicroBatches: micro, Stages: S}
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: micro, Schedule: sched.Shape,
-		Stages: S, Partition: part.Cuts()}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if micro < 1 || B%micro != 0 {
-		p.Reason = fmt.Sprintf("micro-batch count %d does not divide B=%d", micro, B)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if B/micro < g.Pc {
-		p.Reason = fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/micro, g.Pc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
-	// Strategies are chosen at the micro-batch size on the shared grid,
-	// as in the single-stage pipeline path.
-	p.Assignment = assignmentFor(net, B/micro, g, opts.Mode, env)
-	grids := make([]grid.Grid, S)
-	for k := range grids {
-		grids[k] = g
-	}
-	// The tightest stage governs feasibility: every process must fit its
-	// own stage's weights plus the stash its schedule position forces.
-	for _, m := range costmodel.MemoryStages(net, B, part, grids, p.Assignment, sched) {
-		if w := m.TotalWords(); w > p.MemoryWords {
-			p.MemoryWords = w
-		}
-	}
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("stage stash: per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
-		}
-		return p
-	}
-	var simStart time.Time
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-		simStart = time.Now()
-	}
-	sc, err := env.StageIteration(net, B, part, grids, p.Assignment, opts.Compute, opts.TimelinePolicy, sched)
-	if st != nil {
-		st.TimelineSimulated++
-		st.SimulateSeconds += time.Since(simStart).Seconds()
-	}
-	if err != nil {
-		p.Reason = fmt.Sprintf("stage simulation failed: %v", err)
-		return p
-	}
-	p.Feasible = true
-	p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
-	p.Timeline = sc.Result
-	p.BubbleFraction = sc.Result.BubbleFraction
-	p.PerStage = sc.Stages
-	p.CommSeconds = sc.Result.CommSeconds
-	p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
-	p.IterSeconds = sc.IterSeconds()
-	if opts.AddRedistribution {
-		r := float64(micro) * env.RedistributionSeconds(net, B/micro, g, p.Assignment)
-		p.CommSeconds += r
-		p.IterSeconds += r
-	}
-	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
-	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
-		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
-	}
-	return p
-}
-
-// evaluate is Evaluate with an optional telemetry collector (st may be
-// nil; Optimize passes its Result.Stats).
-func evaluate(net *nn.Network, B int, g grid.Grid, opts Options, st *SearchStats) Plan {
-	pls := opts.placements()
-	best := evaluateAt(net, B, g, pls[0], opts, st)
-	if g.Pr == 1 || g.Pc == 1 {
-		// Degenerate grids have identical rank mappings under every
-		// placement; pricing the others would duplicate the first plan.
-		return best
-	}
-	for _, pl := range pls[1:] {
-		if p := evaluateAt(net, B, g, pl, opts, st); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds) {
-			best = p
-		}
-	}
-	return best
-}
-
-// EvaluateAt prices one (grid, placement, mode) configuration over the
-// micro-batch search space (Options.MicroBatches) and returns the best
-// candidate's plan. Ties keep the smaller M, so the legacy M = 1 scoring
-// wins unless pipelining strictly helps.
-func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options) Plan {
-	return evaluateAt(net, B, g, pl, opts, nil)
-}
-
-func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, st *SearchStats) Plan {
-	micros := opts.microBatches()
-	best := evaluateMicroAt(net, B, g, pl, opts, micros[0], nil, st)
-	for _, m := range micros[1:] {
-		if p := evaluateMicroAt(net, B, g, pl, opts, m, nil, st); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds ||
-				(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch)) {
-			best = p
-		}
-	}
-	return best
-}
-
-// evaluateMicroAt prices one (grid, placement, mode, M) configuration:
-// the legacy single-iteration scoring for M = 1, the pipeline schedule
-// for M > 1. The telemetry collector st (nil outside Optimize) counts
-// the candidate and the pruning/pricing outcome and accumulates the
-// phase wall times. cc, when non-nil, supplies the memoized per-layer
-// compute split (cached and freshly computed entries are bit-identical,
-// so plans do not depend on cache state).
-func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int, cc *computeCache, st *SearchStats) Plan {
-	if st != nil {
-		st.Candidates++
-	}
-	if micro != 1 {
-		return evaluatePipelineAt(net, B, g, pl, opts, micro, st)
-	}
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: 1, Schedule: opts.Schedule, Stages: 1}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
-	p.Assignment = assignmentFor(net, B, g, opts.Mode, env)
-	p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
-		}
-		return p
-	}
-	p.Feasible = true
-	p.Breakdown = env.FullIntegrated(net, B, g, p.Assignment)
-	p.CommSeconds = p.Breakdown.TotalSeconds()
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-	}
-	if opts.UseTimeline {
-		var simStart time.Time
-		if st != nil {
-			simStart = time.Now()
-		}
-		var times []compute.LayerTime
-		var overhead float64
-		if cc != nil {
-			gt := cc.peek(g, B)
-			times, overhead = gt.times, gt.overhead
-		} else {
-			times, overhead = opts.Compute.GridLayerTimes(net, B, g)
-		}
-		// The per-layer split plus the residual overhead *is* the grid
-		// compute time (compute.TestGridLayerTimesConservation); deriving
-		// CompSeconds from it keeps exposure = IterSeconds − CompSeconds
-		// exact without pricing the compute model twice.
-		p.CompSeconds = overhead
-		for _, lt := range times {
-			p.CompSeconds += lt.Fwd + lt.Bwd
-		}
-		res, err := timeline.SimulateLayers(costmodel.TimelineLayers(p.Breakdown, times), opts.TimelinePolicy)
-		if st != nil {
-			st.TimelineSimulated++
-			st.SimulateSeconds += time.Since(simStart).Seconds()
-		}
-		if err != nil {
-			p.Feasible = false
-			p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
-			return p
-		}
-		p.Timeline = res
-		p.BubbleFraction = res.BubbleFraction
-		// The fixed per-iteration overhead (and unweighted-layer compute)
-		// belongs to no layer; it extends the compute pipe and overlaps
-		// nothing.
-		p.IterSeconds = res.Makespan + overhead
-	} else {
-		p.CompSeconds = opts.Compute.GridIterTime(net, B, g)
-		p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, opts.Overlap)
-	}
-	if opts.AddRedistribution {
-		// The redistribution all-gather blocks the next layer's compute,
-		// so it is never overlapped.
-		r := env.RedistributionSeconds(net, B, g, p.Assignment)
-		p.CommSeconds += r
-		p.IterSeconds += r
-	}
-	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
-	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
-		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
-	}
-	return p
-}
-
-// evaluatePipelineAt prices one (grid, placement, mode) configuration as
-// an M-micro-batch pipeline schedule: communication re-derived at
-// micro-batch size B/M, the memory constraint applied to the
-// activation-stash high-water mark, and the iteration scored by the
-// multi-iteration timeline simulator. The caller (evaluateMicroAt) has
-// already counted the candidate in st; the Eq. 3–9 re-pricing at size
-// B/M happens inside PipelineIteration, so its whole duration is
-// accounted to the simulate phase (see SearchStats).
-func evaluatePipelineAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int, st *SearchStats) Plan {
-	sched := opts.schedule(micro)
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: micro, Schedule: sched.Shape, Stages: 1}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if micro < 1 || B%micro != 0 {
-		p.Reason = fmt.Sprintf("micro-batch count %d does not divide B=%d", micro, B)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if B/micro < g.Pc {
-		p.Reason = fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/micro, g.Pc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
-	// The per-layer strategy is chosen at the micro-batch size the
-	// schedule actually runs: α-heavy small messages can flip a conv
-	// layer's cheapest strategy relative to the full-batch choice.
-	p.Assignment = assignmentFor(net, B/micro, g, opts.Mode, env)
-	p.MemoryWords = costmodel.MemoryPipeline(net, B, g, p.Assignment, sched).TotalWords()
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("activation stash: per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
-		}
-		return p
-	}
-	var simStart time.Time
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-		simStart = time.Now()
-	}
-	pc, err := env.PipelineIteration(net, B, g, p.Assignment, opts.Compute, opts.TimelinePolicy, sched)
-	if st != nil {
-		st.TimelineSimulated++
-		st.SimulateSeconds += time.Since(simStart).Seconds()
-	}
-	if err != nil {
-		p.Reason = fmt.Sprintf("pipeline simulation failed: %v", err)
-		return p
-	}
-	p.Feasible = true
-	p.Breakdown = pc.Breakdown // per-micro-batch costs (size B/M)
-	p.Timeline = pc.Result
-	p.BubbleFraction = pc.Result.BubbleFraction
-	p.CommSeconds = pc.Result.CommSeconds // simulated: M·activations + 1·gradient flush
-	p.CompSeconds = pc.Result.ComputeSeconds + pc.Overhead
-	p.IterSeconds = pc.IterSeconds()
-	if opts.AddRedistribution {
-		// Activations are redistributed at every strategy boundary of
-		// every micro-batch; the all-gathers block the next layer's
-		// compute, so they are never overlapped.
-		r := float64(micro) * env.RedistributionSeconds(net, B/micro, g, p.Assignment)
-		p.CommSeconds += r
-		p.IterSeconds += r
-	}
-	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
-	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
-		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
-	}
-	return p
 }
 
 // Result is the output of Optimize.
@@ -1089,15 +675,7 @@ func Optimize(net *nn.Network, B, P int, opts Options) (Result, error) {
 	}
 	for i := range s.slots {
 		sl := &s.slots[i]
-		var p Plan
-		switch {
-		case sl.pseudo != nil:
-			p = *sl.pseudo
-		case sl.S == 1:
-			p = s.reduceFlat(sl)
-		default:
-			p = s.reduceStaged(sl)
-		}
+		p := s.reduce(sl)
 		if sl.pure {
 			pb := p
 			res.PureBatch = &pb

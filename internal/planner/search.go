@@ -32,10 +32,17 @@
 // one, ending on the same winner); Options.DisableBounds switches the
 // pruning off entirely for callers who want every candidate priced.
 //
+// Evaluation: a leaf that passes the structural checks is priced on one
+// of two paths. Timeline-scored leaves — any stage count, any
+// micro-batch count — run costmodel.StageIteration (a one-stage
+// partition when S = 1); the rest get the paper's closed-form M = 1
+// scoring (the Figs. 6/7 setting), which no simulation reproduces bit
+// for bit.
+//
 // Memoization: compute.Model.GridLayerTimes and the per-layer compute
 // costs the partition enumeration balances are evaluated once per
-// (grid, batch) during enumeration and shared read-only by every
-// placement × partition × micro-batch leaf (and by the lower bounds).
+// (grid, batch) during enumeration and shared read-only by the lower
+// bounds of every placement × partition × micro-batch leaf.
 package planner
 
 import (
@@ -45,12 +52,14 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/stage"
+	"dnnparallel/internal/timeline"
 )
 
 // boundChunk is the branch-and-bound chunk size: the pruning incumbent
@@ -88,10 +97,9 @@ type gridTimes struct {
 	bwdPre   []float64
 }
 
-// computeCache memoizes GridLayerTimes across the candidates that share
-// (grid, batch) — previously recomputed per placement × micro-batch
-// variant. The map is written only during the serial enumeration phase
-// and read concurrently by the worker pool.
+// computeCache memoizes GridLayerTimes for the lower bounds of the
+// candidates that share (grid, batch). The map is written only during
+// the serial enumeration phase and read concurrently by the worker pool.
 type computeCache struct {
 	cm  compute.Model
 	net *nn.Network
@@ -149,7 +157,7 @@ type leaf struct {
 	S     int
 	g     grid.Grid
 	pl    grid.Placement
-	part  stage.Partition // S > 1 only
+	part  stage.Partition // one stage when S = 1
 	micro int
 	// pure marks the 1×P pure-batch baseline at the base batch size,
 	// which is exempt from bounding: Result.PureBatch is the reference
@@ -159,9 +167,10 @@ type leaf struct {
 }
 
 // slot is one entry of Result.All: a (batch size, stage count, grid)
-// tuple whose leaves [start, start+n) reduce to a single reported plan.
-// Pseudo slots (S values that do not divide P, partition errors) carry
-// their pre-built infeasible plan and own no leaves.
+// tuple whose leaves [start, start+n) — placement-major, then partition,
+// then micro-batch — reduce to a single reported plan. Pseudo slots (S
+// values that do not divide P, partition errors) carry their pre-built
+// infeasible plan and own no leaves.
 type slot struct {
 	B          int
 	S          int
@@ -169,14 +178,17 @@ type slot struct {
 	pure       bool
 	pseudo     *Plan
 	start, n   int
-	placements int // S == 1: leaves are placement-major …
-	micros     int // … with this many micro-batch leaves per placement
+	placements int // S == 1: this many placements …
+	micros     int // … with this many micro-batch leaves each
 }
 
-// search is one Optimize invocation's engine state.
+// search is one Optimize or Evaluate invocation's engine state.
 type search struct {
-	net    *nn.Network
-	B, P   int // B is the base batch size (Optimize's argument)
+	net  *nn.Network
+	B, P int // B is the base batch size (Optimize's argument)
+	// pin, when set, replaces the grid factorizations of every stage
+	// count with this one per-stage grid (Evaluate); P is then unused.
+	pin    *grid.Grid
 	opts   Options
 	bounds bool
 	cc     *computeCache
@@ -228,13 +240,14 @@ func (s *search) objectiveScale(B int) float64 {
 }
 
 // enumerate builds the slot and leaf lists in the serial search order —
-// batch sizes, then stage counts, then grid factorizations, then
-// placements × partitions × micro-batches — pre-filling the compute memo
-// and the ∆W floors, and counting the enumeration-side telemetry
-// (batches, grids, stage counts, partitions, and the pseudo-slot
-// candidates) into st. The candidate partitions per stage count are
-// batch-independent, so they are enumerated once and shared across the
-// batch sweep (stage counts are likewise counted once).
+// batch sizes, then stage counts, then grid factorizations (or the
+// pinned grid), then placements × partitions × micro-batches —
+// pre-filling the compute memo and the ∆W floors the lower bounds read,
+// and counting the enumeration-side telemetry (batches, grids, stage
+// counts, partitions, and the pseudo-slot candidates) into st. The
+// candidate partitions per stage count are batch-independent, so they
+// are enumerated once and shared across the batch sweep (stage counts
+// are likewise counted once).
 func (s *search) enumerate(st *SearchStats) {
 	o := s.opts
 	counts := o.stageCounts()
@@ -248,87 +261,74 @@ func (s *search) enumerate(st *SearchStats) {
 	// the candidate outright, for exactly one M=1 leaf each — so the
 	// compute-only bound stands alone there.
 	needFloors := s.bounds && !o.UseTimeline && !o.Overlap && o.topology().Uniform()
-	var layerCosts []float64
+	layerCosts := layerComputeCosts(s.net)
 	type partsMemo struct {
 		parts []stage.Partition
 		err   error
 	}
-	partsBy := make(map[int]partsMemo)
+	partsBy := map[int]partsMemo{1: {parts: []stage.Partition{stage.Balanced(len(layerCosts), 1)}}}
 	st.BatchSizesSearched = len(s.batches)
 	for bi, B := range s.batches {
 		for _, S := range counts {
 			if bi == 0 {
 				st.StageCountsSearched++
 			}
-			if S == 1 {
-				for _, g := range grid.Factorizations(s.P) {
-					st.GridsEnumerated++
-					gp := pls
-					if g.Pr == 1 || g.Pc == 1 {
-						// Degenerate grids have identical rank mappings under
-						// every placement; extra placements would duplicate
-						// the first plan.
-						gp = gp[:1]
-					}
-					sl := slot{B: B, S: 1, g: g, pure: B == s.B && g.IsPureBatch(), start: len(s.leaves),
-						placements: len(gp), micros: len(micros)}
-					for _, pl := range gp {
-						if needFloors {
-							s.fillFloor(g, pl)
-						}
-						for _, m := range micros {
-							s.leaves = append(s.leaves, leaf{B: B, S: 1, g: g, pl: pl, micro: m, pure: sl.pure})
-						}
-					}
-					s.prefillTimes(B, g, micros)
-					sl.n = len(s.leaves) - sl.start
-					s.slots = append(s.slots, sl)
-				}
-				continue
-			}
-			if s.P%S != 0 {
+			pseudo := func(reason string) {
 				st.Candidates++
 				st.StageCandidates++
 				st.InfeasiblePruned++
-				p := Plan{Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S,
-					Reason: fmt.Sprintf("S=%d stages do not divide P=%d", S, s.P)}
+				p := Plan{Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S, Reason: reason}
+				if s.pin != nil {
+					p.Grid = *s.pin
+				}
 				s.slots = append(s.slots, slot{B: B, S: S, pseudo: &p})
+			}
+			grids := []grid.Grid(nil)
+			switch {
+			case s.pin != nil:
+				grids = []grid.Grid{*s.pin}
+			case s.P%S != 0:
+				pseudo(fmt.Sprintf("S=%d stages do not divide P=%d", S, s.P))
 				continue
+			default:
+				grids = grid.Factorizations(s.P / S)
 			}
 			pm, ok := partsBy[S]
 			if !ok {
-				if layerCosts == nil {
-					layerCosts = layerComputeCosts(s.net)
-				}
-				pm.parts, pm.err = o.partitionsFrom(layerCosts, S)
+				pm.parts, pm.err = o.partitions(layerCosts, S)
 				partsBy[S] = pm
 				if pm.err == nil {
 					st.PartitionsEnumerated += len(pm.parts)
 				}
 			}
 			if pm.err != nil {
-				st.Candidates++
-				st.StageCandidates++
-				st.InfeasiblePruned++
-				p := Plan{Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S, Reason: pm.err.Error()}
-				s.slots = append(s.slots, slot{B: B, S: S, pseudo: &p})
+				pseudo(pm.err.Error())
 				continue
 			}
-			for _, g := range grid.Factorizations(s.P / S) {
+			for _, g := range grids {
 				st.GridsEnumerated++
 				gp := pls
 				if g.Pr == 1 || g.Pc == 1 {
+					// Degenerate grids have identical rank mappings under
+					// every placement; extra placements would duplicate
+					// the first plan.
 					gp = gp[:1]
 				}
-				sl := slot{B: B, S: S, g: g, start: len(s.leaves)}
+				sl := slot{B: B, S: S, g: g, pure: S == 1 && B == s.B && g.IsPureBatch(), start: len(s.leaves),
+					placements: len(gp), micros: len(micros)}
 				for _, pl := range gp {
+					if needFloors && S == 1 {
+						s.fillFloor(g, pl)
+					}
 					for _, part := range pm.parts {
 						for _, m := range micros {
-							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m})
+							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m, pure: sl.pure})
 						}
 					}
 				}
-				s.prefillTimes(B, g, micros)
+				if s.bounds {
+					s.prefillTimes(B, g, micros)
+				}
 				sl.n = len(s.leaves) - sl.start
 				s.slots = append(s.slots, sl)
 			}
@@ -336,9 +336,8 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 }
 
-// prefillTimes memoizes the compute splits every leaf of a (batch, grid)
-// pair will read: the full batch for single-iteration scoring and each
-// candidate micro-batch size for the lower bounds and pipelined paths.
+// prefillTimes memoizes the compute splits the lower bounds of a
+// (batch, grid) pair's leaves read: one per candidate micro-batch size.
 func (s *search) prefillTimes(B int, g grid.Grid, micros []int) {
 	s.cc.fill(g, B)
 	for _, m := range micros {
@@ -359,8 +358,8 @@ func (s *search) fillFloor(g grid.Grid, pl grid.Placement) {
 
 // lowerBound returns a monotone lower bound on the leaf's objective
 // cost, or ok=false when the leaf fails a structural constraint (it then
-// flows through the full evaluation to be classified InfeasiblePruned
-// with its exact reason, exactly as without bounds).
+// flows through evalLeaf to be classified InfeasiblePruned with its
+// exact reason, exactly as without bounds).
 //
 // The bound is compute-only plus terms the schedule provably cannot
 // hide: every simulated or closed-form iteration is at least its busiest
@@ -376,19 +375,10 @@ func (s *search) fillFloor(g grid.Grid, pl grid.Placement) {
 func (s *search) lowerBound(lf *leaf) (float64, bool) {
 	o := s.opts
 	g := lf.g
-	if ok, _ := feasible(s.net, lf.B, g, o.Mode); !ok {
-		return 0, false
-	}
-	if o.MaxPc > 0 && g.Pc > o.MaxPc {
-		return 0, false
-	}
-	if lf.micro < 1 || lf.B%lf.micro != 0 {
+	if o.structural(s.net, lf.B, g, lf.micro) != "" {
 		return 0, false
 	}
 	mb := lf.B / lf.micro
-	if mb < g.Pc {
-		return 0, false
-	}
 	scale := s.objectiveScale(lf.B)
 	gt := s.cc.peek(g, mb)
 	fixed := o.Compute.FixedIter
@@ -428,36 +418,153 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 }
 
 // evalLeaf evaluates leaf i against the frozen incumbent, recording its
-// telemetry in the worker's shard. The leaf's lower bound was computed
-// once by run()'s ordering pass (s.lbs/s.lbOK); re-deriving it here
-// would double the bound cost for zero information.
+// telemetry in the worker's shard: a bound-pruned placeholder, a
+// structural rejection, or a priced plan. The leaf's lower bound was
+// computed once by run()'s ordering pass (s.lbs/s.lbOK); re-deriving it
+// here would double the bound cost for zero information.
 func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 	lf := &s.leaves[i]
-	if s.bounds && !lf.pure {
-		if lb := s.lbs[i]; s.lbOK[i] && lb*boundSlack > incumbent {
-			st.Candidates++
-			if lf.S > 1 {
-				st.StageCandidates++
-			}
-			st.Bounded++
-			kind := "compute"
-			if s.opts.Objective == TimeToAccuracy {
-				kind = "time-to-accuracy"
-			}
-			p := Plan{Grid: lf.g, Batch: lf.B, Placement: lf.pl, Mode: s.opts.Mode, MicroBatch: lf.micro,
-				Schedule: s.opts.Schedule, Stages: lf.S,
-				Reason: fmt.Sprintf("pruned: %s lower bound %.4gs exceeds incumbent best %.4gs",
-					kind, lb, incumbent)}
-			if lf.S > 1 {
-				p.Partition = lf.part.Cuts()
-			}
-			return p
+	o := s.opts
+	st.Candidates++
+	p := Plan{Grid: lf.g, Batch: lf.B, Placement: lf.pl, Mode: o.Mode, MicroBatch: lf.micro,
+		Schedule: o.Schedule, Stages: lf.S}
+	if lf.S > 1 {
+		st.StageCandidates++
+		p.Partition = lf.part.Cuts()
+	}
+	if s.bounds && !lf.pure && s.lbOK[i] && s.lbs[i]*boundSlack > incumbent {
+		st.Bounded++
+		kind := "compute"
+		if o.Objective == TimeToAccuracy {
+			kind = "time-to-accuracy"
+		}
+		p.Reason = fmt.Sprintf("pruned: %s lower bound %.4gs exceeds incumbent best %.4gs",
+			kind, s.lbs[i], incumbent)
+		return p
+	}
+	if p.Reason = o.structural(s.net, lf.B, lf.g, lf.micro); p.Reason != "" {
+		st.InfeasiblePruned++
+		return p
+	}
+	if o.UseTimeline || lf.S > 1 || lf.micro > 1 {
+		s.simulate(&p, lf.part, st)
+	} else {
+		s.closedForm(&p, st)
+	}
+	return p
+}
+
+// closedForm prices a structurally feasible single-stage M = 1 plan with
+// the paper's aggregate closed form: the Eq. 3–9 breakdown, the grid
+// compute time, and the legacy Overlap flag.
+func (s *search) closedForm(p *Plan, st *SearchStats) {
+	o := s.opts
+	B, g := p.Batch, p.Grid
+	priceStart := time.Now()
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
+	p.Assignment = assignmentFor(s.net, B, g, o.Mode, env)
+	p.MemoryWords = costmodel.Memory(s.net, B, g, p.Assignment).TotalWords()
+	if s.overMemory(p, st, priceStart) {
+		return
+	}
+	p.Feasible = true
+	p.Breakdown = env.FullIntegrated(s.net, B, g, p.Assignment)
+	p.CommSeconds = p.Breakdown.TotalSeconds()
+	st.Priced++
+	st.PriceSeconds += time.Since(priceStart).Seconds()
+	p.CompSeconds = o.Compute.GridIterTime(s.net, B, g)
+	p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, o.Overlap)
+	s.finish(p, env)
+}
+
+// simulate prices a structurally feasible plan with the timeline
+// simulator via costmodel.StageIteration: every stage's layers on the
+// shared grid at the stage's rank offset, boundary handoffs priced
+// against the topology level each cut crosses, memory pruned on the
+// tightest stage's footprint. The Eq. 3–9 re-pricing at micro-batch size
+// B/M happens inside StageIteration, so its whole duration is accounted
+// to the simulate phase (see SearchStats).
+func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
+	o := s.opts
+	B, g, S, micro := p.Batch, p.Grid, p.Stages, p.MicroBatch
+	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: micro, Stages: S}
+	priceStart := time.Now()
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
+	// The per-layer strategy is chosen at the micro-batch size the
+	// schedule actually runs: α-heavy small messages can flip a conv
+	// layer's cheapest strategy relative to the full-batch choice.
+	p.Assignment = assignmentFor(s.net, B/micro, g, o.Mode, env)
+	grids := make([]grid.Grid, S)
+	for k := range grids {
+		grids[k] = g
+	}
+	// The tightest stage governs feasibility: every process must fit its
+	// own stage's weights plus the stash its schedule position forces.
+	for _, m := range costmodel.MemoryStages(s.net, B, part, grids, p.Assignment, sched) {
+		if w := m.TotalWords(); w > p.MemoryWords {
+			p.MemoryWords = w
 		}
 	}
-	if lf.S == 1 {
-		return evaluateMicroAt(s.net, lf.B, lf.g, lf.pl, s.opts, lf.micro, s.cc, st)
+	if s.overMemory(p, st, priceStart) {
+		return
 	}
-	return evaluateStagedAt(s.net, lf.B, lf.g, lf.pl, lf.part, s.opts, lf.micro, st)
+	st.Priced++
+	st.PriceSeconds += time.Since(priceStart).Seconds()
+	simStart := time.Now()
+	sc, err := env.StageIteration(s.net, B, part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)
+	st.TimelineSimulated++
+	st.SimulateSeconds += time.Since(simStart).Seconds()
+	if err != nil {
+		p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
+		return
+	}
+	p.Feasible = true
+	p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
+	p.Timeline = sc.Result
+	p.BubbleFraction = sc.Result.BubbleFraction
+	if S > 1 {
+		p.PerStage = sc.Stages
+	}
+	p.CommSeconds = sc.Result.CommSeconds // M·activations + 1·gradient flush
+	p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
+	p.IterSeconds = sc.IterSeconds()
+	s.finish(p, env)
+}
+
+// overMemory rejects a plan whose per-process footprint exceeds
+// Options.MemoryLimitWords, charging the pricing time spent so far.
+func (s *search) overMemory(p *Plan, st *SearchStats, priceStart time.Time) bool {
+	limit := s.opts.MemoryLimitWords
+	if limit <= 0 || p.MemoryWords <= limit {
+		return false
+	}
+	p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g", p.MemoryWords, limit)
+	st.MemoryPruned++
+	st.PriceSeconds += time.Since(priceStart).Seconds()
+	return true
+}
+
+// finish completes a priced plan: the Eq. 6 redistribution, the exposed
+// communication, the epoch time, and the time-to-accuracy campaign.
+func (s *search) finish(p *Plan, env costmodel.Env) {
+	o := s.opts
+	B := p.Batch
+	if o.AddRedistribution {
+		// Activations are redistributed at every strategy boundary of
+		// every micro-batch; the all-gathers block the next layer's
+		// compute, so they are never overlapped.
+		r := float64(p.MicroBatch) * env.RedistributionSeconds(s.net, B/p.MicroBatch, p.Grid, p.Assignment)
+		p.CommSeconds += r
+		p.IterSeconds += r
+	}
+	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
+	if o.DatasetN > 0 {
+		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, o.DatasetN, B)
+	}
+	if o.Objective == TimeToAccuracy {
+		p.StepsToTarget = o.Curve.Steps(B)
+		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
+	}
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk, and
@@ -560,11 +667,23 @@ func (s *search) run(st *SearchStats) {
 	}
 }
 
-// reduceFlat folds a single-stage slot's leaves exactly as the serial
-// evaluate/evaluateAt pair: within a placement, strictly cheaper wins
-// and equal cost prefers the smaller micro-batch; across placements,
-// only strictly cheaper feasible plans replace (ties keep the earlier
-// placement, so flat machines deterministically report row-major).
+// reduce folds one slot into its Result.All entry: the pre-built plan of
+// a pseudo slot, else the single- or multi-stage fold of its leaves.
+func (s *search) reduce(sl *slot) Plan {
+	switch {
+	case sl.pseudo != nil:
+		return *sl.pseudo
+	case sl.S == 1:
+		return s.reduceFlat(sl)
+	}
+	return s.reduceStaged(sl)
+}
+
+// reduceFlat folds a single-stage slot's leaves: within a placement,
+// strictly cheaper wins and equal cost prefers the smaller micro-batch;
+// across placements, only strictly cheaper feasible plans replace (ties
+// keep the earlier placement, so flat machines deterministically report
+// row-major).
 func (s *search) reduceFlat(sl *slot) Plan {
 	group := func(start int) Plan {
 		best := s.plans[start]
@@ -587,10 +706,10 @@ func (s *search) reduceFlat(sl *slot) Plan {
 	return best
 }
 
-// reduceStaged folds a multi-stage slot's leaves exactly as the serial
-// evaluateStagedGrid: one flat fold over placements × partitions ×
-// micro-batches where strictly cheaper wins and equal cost prefers the
-// smaller micro-batch (ties otherwise keep the earlier candidate).
+// reduceStaged folds a multi-stage slot's leaves: one flat fold over
+// placements × partitions × micro-batches where strictly cheaper wins
+// and equal cost prefers the smaller micro-batch (ties otherwise keep
+// the earlier candidate).
 func (s *search) reduceStaged(sl *slot) Plan {
 	best := s.plans[sl.start]
 	for i := sl.start + 1; i < sl.start+sl.n; i++ {

@@ -10,9 +10,9 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
-// Explicitly asking for the single-stage search (StageCounts = {1}, or
-// the legacy PipelineStages knob at 0/1) must reproduce the default
-// search result exactly — same plans, same telemetry counts.
+// Explicitly asking for the single-stage search (StageCounts = {1}) must
+// reproduce the default search result exactly — same plans, same
+// telemetry counts.
 func TestStageCountsSingleIsBitCompatible(t *testing.T) {
 	net := nn.AlexNet()
 	base := opts(Auto)
@@ -23,23 +23,18 @@ func TestStageCountsSingleIsBitCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mutate := range []func(*Options){
-		func(o *Options) { o.StageCounts = []int{1} },
-		func(o *Options) { o.PipelineStages = 1 },
-	} {
-		o := base
-		mutate(&o)
-		got, err := Optimize(net, 2048, 256, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Best, ref.Best) || !reflect.DeepEqual(got.All, ref.All) {
-			t.Fatalf("single-stage spelling changed the search result")
-		}
-		if !reflect.DeepEqual(got.Stats.ZeroTimes(), ref.Stats.ZeroTimes()) {
-			t.Fatalf("single-stage spelling changed the telemetry:\n%+v\nvs\n%+v",
-				got.Stats.ZeroTimes(), ref.Stats.ZeroTimes())
-		}
+	o := base
+	o.StageCounts = []int{1}
+	got, err := Optimize(net, 2048, 256, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Best, ref.Best) || !reflect.DeepEqual(got.All, ref.All) {
+		t.Fatalf("single-stage spelling changed the search result")
+	}
+	if !reflect.DeepEqual(got.Stats.ZeroTimes(), ref.Stats.ZeroTimes()) {
+		t.Fatalf("single-stage spelling changed the telemetry:\n%+v\nvs\n%+v",
+			got.Stats.ZeroTimes(), ref.Stats.ZeroTimes())
 	}
 }
 

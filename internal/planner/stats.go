@@ -45,9 +45,12 @@ type Improvement struct {
 // workers and, when that cpu-time sum exceeds the evaluation phase's
 // wall clock (Options.Workers > 1), scaled down onto it so the split
 // stays a wall-clock attribution. The slack is the reduction and loop
-// bookkeeping. For pipelined candidates (M > 1) the Eq. 3–9 re-pricing
-// at micro-batch size B/M happens inside the simulator call and is
-// accounted to SimulateSeconds.
+// bookkeeping. For every timeline-simulated candidate — S = 1 or
+// staged, any M — the Eq. 3–9 pricing (at micro-batch size B/M) happens
+// inside the costmodel.StageIteration call and is accounted to
+// SimulateSeconds; PriceSeconds then covers the strategy choice and the
+// memory estimate. Only closed-form candidates are priced entirely in
+// PriceSeconds.
 //
 // All counts and the improvement trajectory are deterministic — they do
 // not depend on the worker count.
@@ -71,7 +74,9 @@ type SearchStats struct {
 	// partition, micro-batch) tuples examined.
 	Candidates int `json:"candidates"`
 	// StageCandidates is the subset of Candidates with more than one
-	// pipeline stage; they flow through the same Priced/
+	// pipeline stage (single-stage candidates are not counted, though
+	// timeline-scored ones run through the same one-stage
+	// StageIteration path); they flow through the same Priced/
 	// InfeasiblePruned/MemoryPruned buckets, so the reconciliation
 	// identity is unchanged.
 	StageCandidates int `json:"stage_candidates,omitempty"`
@@ -95,8 +100,9 @@ type SearchStats struct {
 	Bounded int `json:"bounded,omitempty"`
 	// Priced counts candidates that received a full Eq. 3–9 pricing.
 	Priced int `json:"priced"`
-	// TimelineSimulated counts the discrete-event simulator runs
-	// (single-iteration or pipelined) among the priced candidates.
+	// TimelineSimulated counts the discrete-event simulator runs (one
+	// costmodel.StageIteration per timeline-scored candidate) among the
+	// priced candidates.
 	TimelineSimulated int `json:"timeline_simulated"`
 
 	// Improvements is the best-cost trajectory: every candidate that

@@ -567,7 +567,7 @@ func (s Scenario) Normalize() Scenario {
 // anywhere downstream: the boundary panics of the internal fast paths
 // are guarded either here (EpochIterations on B ≤ 0 or N < 0, machine
 // constants feeding the timeline's non-negativity checks) or by the
-// planner's own per-candidate feasibility checks (MemoryPipeline's B%M
+// planner's own per-candidate feasibility checks (MemoryStages' B%M
 // divisibility, which skips non-dividing candidates before pricing).
 func (s Scenario) Validate() error {
 	if _, err := nn.Preset(s.Network); err != nil {
@@ -859,7 +859,6 @@ func (s Scenario) Resolve() (Resolved, error) {
 		TimelinePolicy:    n.Policy,
 		MicroBatches:      n.MicroBatches,
 		Schedule:          n.Schedule,
-		PipelineStages:    n.PipelineStages,
 		Placements:        n.Placements,
 	}
 	if n.Search != nil {
@@ -876,7 +875,9 @@ func (s Scenario) Resolve() (Resolved, error) {
 		opts.Curve = curve
 	}
 	if n.Pipeline != nil {
-		opts.PipelineStages = n.Pipeline.Stages
+		if S := n.Pipeline.Stages; S > 1 {
+			opts.StageCounts = []int{S}
+		}
 		opts.MaxPartitions = n.Pipeline.MaxPartitions
 		if n.Pipeline.Partition != nil && len(n.Pipeline.Partition.Cuts) > 0 {
 			opts.Partition = append([]int(nil), n.Pipeline.Partition.Cuts...)

@@ -290,10 +290,14 @@ func TestMetricsConcurrentMonotone(t *testing.T) {
 	if got := metricValue(text, `dnnserve_request_seconds_count{path="/v1/plan"}`); got != total {
 		t.Errorf("latency count = %g, want %d", got, total)
 	}
+	// Every request is accounted exactly once: a hit, a miss that
+	// computed, or a miss coalesced onto an identical in-flight
+	// computation (CacheStats.Coalesced: not counted in Misses).
 	hits := metricValue(text, "dnnserve_cache_hits_total")
 	misses := metricValue(text, "dnnserve_cache_misses_total")
-	if hits+misses != total {
-		t.Errorf("cache hits %g + misses %g ≠ %d requests", hits, misses, total)
+	coalesced := metricValue(text, "dnnserve_cache_coalesced_total")
+	if hits+misses+coalesced != total {
+		t.Errorf("cache hits %g + misses %g + coalesced %g ≠ %d requests", hits, misses, coalesced, total)
 	}
 	if misses < float64(len(bodies)) {
 		t.Errorf("misses = %g, want ≥ %d (each distinct scenario misses once)", misses, len(bodies))
