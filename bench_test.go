@@ -243,10 +243,10 @@ func BenchmarkPlannerOptimizeP512(b *testing.B) {
 
 func BenchmarkCostModelEq8(b *testing.B) {
 	net := nn.AlexNet()
-	m := machine.CoriKNL()
+	env := costmodel.Env{Topo: machine.Flat(machine.CoriKNL())}
 	g := grid.Grid{Pr: 16, Pc: 32}
 	for i := 0; i < b.N; i++ {
-		costmodel.Integrated(net, 2048, g, m)
+		env.FullIntegrated(net, 2048, g, nil)
 	}
 }
 

@@ -170,7 +170,7 @@ func WithLevels(levels ...LevelSpec) Option {
 }
 
 // WithPlacements pins the rank-placement search space (default:
-// automatic — row-major only on flat machines, both on two-level ones).
+// automatic — row-major only on flat machines, both on hierarchical ones).
 func WithPlacements(pls ...Placement) Option {
 	return func(s *Scenario) { s.Placements = pls }
 }
@@ -316,7 +316,7 @@ func machineDesc(opts planner.Options) string {
 
 // Plan validates the scenario and searches its configuration space —
 // every Pr × Pc factorization of P (or only the pinned Grid), every rank
-// placement on a two-level topology, every micro-batch candidate —
+// placement on a hierarchical topology, every micro-batch candidate —
 // returning the feasible plan with the lowest predicted iteration time.
 // Malformed scenarios return *ValidationError; searches with no feasible
 // configuration return *InfeasibleError; no panic escapes.

@@ -219,6 +219,11 @@ func TestPlanErrors(t *testing.T) {
 		{"levels with bw override", []string{"-levels", "node:5e-7:60:16,top:2e-6:6", "-bw", "8"}, 2},
 		{"malformed levels", []string{"-levels", "node:fast:60"}, 2},
 		{"non-multiple levels", []string{"-levels", "node:5e-7:60:16,rack:1e-6:12:24"}, 2},
+		{"NaN alpha", []string{"-alpha", "NaN", "-P", "64", "-B", "256"}, 2},
+		{"NaN bandwidth", []string{"-bw", "NaN", "-P", "64", "-B", "256"}, 2},
+		{"overflowing bandwidth", []string{"-bw", "1e-320", "-P", "64", "-B", "256"}, 2},
+		{"NaN level alpha", []string{"-levels", "node:NaN:60:16,spine:2e-6:6", "-P", "64", "-B", "256"}, 2},
+		{"Inf level bandwidth", []string{"-levels", "node:5e-7:Inf:16,spine:2e-6:6", "-P", "64", "-B", "256"}, 2},
 		{"infeasible", []string{"-B", "256", "-mode", "conv-batch"}, 1},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,18 +25,20 @@ func ParseLevels(s string) ([]dnnparallel.LevelSpec, error) {
 		}
 		lv := dnnparallel.LevelSpec{Name: strings.TrimSpace(fields[0])}
 		var err error
+		// Each range test is phrased so NaN fails it, and ±Inf fails the
+		// MaxFloat64 bound: no non-physical link reaches the pricer.
 		lv.AlphaSeconds, err = strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-		if err != nil || lv.AlphaSeconds < 0 {
-			return nil, fmt.Errorf("bad level α %q in %q (want seconds ≥ 0)", fields[1], part)
+		if err != nil || !(lv.AlphaSeconds >= 0 && lv.AlphaSeconds <= math.MaxFloat64) {
+			return nil, fmt.Errorf("level %q: bad α %q in %q (want finite seconds ≥ 0)", lv.Name, fields[1], part)
 		}
 		lv.BandwidthGBs, err = strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-		if err != nil || lv.BandwidthGBs <= 0 {
-			return nil, fmt.Errorf("bad level bandwidth %q in %q (want GB/s > 0)", fields[2], part)
+		if err != nil || !(lv.BandwidthGBs > 0 && lv.BandwidthGBs <= math.MaxFloat64) {
+			return nil, fmt.Errorf("level %q: bad bandwidth %q in %q (want finite GB/s > 0)", lv.Name, fields[2], part)
 		}
 		if len(fields) == 4 {
 			lv.GroupRanks, err = strconv.Atoi(strings.TrimSpace(fields[3]))
 			if err != nil || lv.GroupRanks < 0 {
-				return nil, fmt.Errorf("bad level group %q in %q (want ranks ≥ 0)", fields[3], part)
+				return nil, fmt.Errorf("level %q: bad group %q in %q (want ranks ≥ 0)", lv.Name, fields[3], part)
 			}
 		}
 		out = append(out, lv)

@@ -1,7 +1,10 @@
 package cli
 
 import (
+	"math"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dnnparallel"
@@ -15,6 +18,7 @@ func TestParseLevelsTable(t *testing.T) {
 		name, in string
 		want     []dnnparallel.LevelSpec
 		wantErr  bool
+		errHas   string // when set, the error must contain it
 	}{
 		{
 			name: "two-level cori",
@@ -63,6 +67,10 @@ func TestParseLevelsTable(t *testing.T) {
 		{name: "bad group", in: "node:5e-7:60:many", wantErr: true},
 		{name: "negative group", in: "node:5e-7:60:-4", wantErr: true},
 		{name: "one bad level among good", in: "node:5e-7:60:16,rack::12", wantErr: true},
+		{name: "NaN alpha", errHas: `level "node"`, in: "node:NaN:60:16,spine:2e-6:6", wantErr: true},
+		{name: "Inf alpha", errHas: `level "node"`, in: "node:Inf:60:16,spine:2e-6:6", wantErr: true},
+		{name: "NaN bandwidth", errHas: `level "node"`, in: "node:5e-7:nan:16,spine:2e-6:6", wantErr: true},
+		{name: "Inf bandwidth", errHas: `level "node"`, in: "node:5e-7:+Infinity:16,spine:2e-6:6", wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -70,6 +78,9 @@ func TestParseLevelsTable(t *testing.T) {
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("ParseLevels(%q) = %v, want error", c.in, got)
+				}
+				if !strings.Contains(err.Error(), c.errHas) {
+					t.Fatalf("ParseLevels(%q) error %q does not name %s", c.in, err, c.errHas)
 				}
 				return
 			}
@@ -102,4 +113,54 @@ func TestFormatLevelsCanonical(t *testing.T) {
 	if got := FormatLevels(in); got != want {
 		t.Fatalf("FormatLevels = %q, want %q", got, want)
 	}
+}
+
+// FuzzLevelsFlag: every string ParseLevels accepts describes physical
+// links — finite α and bandwidth on every level, so nothing NaN or
+// infinite reaches the pricer — and renders back through FormatLevels
+// to the same level list. The corpus is seeded with the levels blocks
+// of the example scenarios plus the NaN/Inf spellings strconv accepts.
+func FuzzLevelsFlag(f *testing.F) {
+	paths, err := filepath.Glob(scenarioPath("*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		sc, err := dnnparallel.LoadScenario(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if sc.Topology != nil && len(sc.Topology.Levels) > 0 {
+			f.Add(FormatLevels(sc.Topology.Levels))
+		}
+	}
+	for _, s := range []string{
+		"node:NaN:60:16,spine:2e-6:6",
+		"node:5e-7:nan:16,spine:2e-6:6",
+		"node:Inf:60:16,spine:2e-6:6",
+		"node:5e-7:+Inf:16,spine:2e-6:6",
+		"node:5e-7:infinity:16,spine:-inf:6",
+		"net:1e400:6",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ls, err := ParseLevels(s)
+		if err != nil {
+			return
+		}
+		for _, lv := range ls {
+			if math.IsNaN(lv.AlphaSeconds) || math.IsInf(lv.AlphaSeconds, 0) ||
+				math.IsNaN(lv.BandwidthGBs) || math.IsInf(lv.BandwidthGBs, 0) {
+				t.Fatalf("ParseLevels(%q) accepted a non-finite level %+v", s, lv)
+			}
+		}
+		back, err := ParseLevels(FormatLevels(ls))
+		if err != nil {
+			t.Fatalf("ParseLevels(FormatLevels(%+v)) = %v", ls, err)
+		}
+		if !reflect.DeepEqual(back, ls) {
+			t.Fatalf("round trip of %q through %q: %+v != %+v", s, FormatLevels(ls), back, ls)
+		}
+	})
 }

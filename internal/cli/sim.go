@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"dnnparallel"
@@ -16,6 +17,11 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
+// simExperiments lists every -exp name in the order -exp all runs them;
+// the flag help is rendered from it so the two cannot drift apart.
+var simExperiments = []string{"table1", "fig4", "eq5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"timeline", "pipeline", "verify", "sensitivity", "memory", "onebyone", "modelcheck", "convergence"}
+
 // SimMain is the dnnsim entry point: it regenerates the paper's tables
 // and figures. A -config scenario seeds the shared setup (network,
 // machine or topology, batch, dataset, overlap policy, micro-batch
@@ -25,7 +31,7 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dnnsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	config := fs.String("config", "", "scenario JSON file (see examples/scenarios); flags override its fields")
-	exp := fs.String("exp", "all", "experiment: table1|fig4|eq5|fig6|fig7|fig8|fig9|fig10|timeline|pipeline|verify|sensitivity|memory|onebyone|all")
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(simExperiments, "|")+"|all")
 	csv := fs.Bool("csv", false, "emit CSV instead of text (scaling experiments)")
 	batch := fs.Int("B", 2048, "global minibatch size for strong-scaling experiments")
 	beyondB := fs.Int("B10", 512, "batch size for the beyond-batch experiment (fig10)")
@@ -311,8 +317,7 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"table1", "fig4", "eq5", "fig6", "fig7", "fig8", "fig9", "fig10",
-			"timeline", "pipeline", "verify", "sensitivity", "memory", "onebyone", "modelcheck", "convergence"}
+		names = simExperiments
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {

@@ -1,7 +1,8 @@
 // Package collective provides closed-form α–β costs for the collective
 // operations the paper's analysis assumes (Section 2.2, citing Thakur,
 // Rabenseifner & Gropp): Bruck's algorithm for all-gather and the ring
-// (reduce-scatter + all-gather) algorithm for all-reduce.
+// (reduce-scatter + all-gather) algorithm for all-reduce, plus the
+// point-to-point message of the Eq. 7 halo exchange.
 //
 // All "words" arguments are the *total* result size n in words:
 //   - AllGather: each of p processes contributes n/p words and ends with n.
@@ -143,14 +144,4 @@ func ReduceScatter(p int, words float64, m machine.Machine) Cost {
 // the halo-exchange primitive of Eq. 7.
 func PointToPoint(words float64, m machine.Machine) Cost {
 	return Cost{Latency: m.Alpha, Bandwidth: m.Beta * words}
-}
-
-// Broadcast returns the binomial-tree broadcast cost ⌈log p⌉(α + β·n),
-// used when redistributing replicated weights at start-up.
-func Broadcast(p int, words float64, m machine.Machine) Cost {
-	if p <= 1 {
-		return Cost{}
-	}
-	l := float64(CeilLog2(p))
-	return Cost{Latency: m.Alpha * l, Bandwidth: m.Beta * words * l}
 }

@@ -27,7 +27,6 @@ func TestSingleProcessCollectivesAreFree(t *testing.T) {
 		"AllGather":     AllGather(1, 1e6, m),
 		"AllReduce":     AllReduce(1, 1e6, m),
 		"ReduceScatter": ReduceScatter(1, 1e6, m),
-		"Broadcast":     Broadcast(1, 1e6, m),
 	} {
 		if c.Total() != 0 {
 			t.Errorf("%s with p=1 should be free, got %v", name, c.Total())

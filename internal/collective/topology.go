@@ -19,8 +19,8 @@
 //   - All-gather: each active level gathers its groups' slice of the
 //     result (words·MaxRanks/p for inner levels, the full words at the
 //     outermost active level) across its sub-units.
-//   - Broadcast: binomial trees fan out from the top level down, full
-//     words at every level.
+//   - Point-to-point (the Eq. 7 halo exchange): one message on the link
+//     of the innermost level containing both endpoints.
 //
 // The concurrent per-plane collectives of a level (LevelStat.Planes:
 // one plane per rank of the busiest sub-unit) share that sub-unit's
@@ -154,55 +154,9 @@ func AllReduceTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	return total.Add(atLevel(serializePlanes(c, lv.Planes), top))
 }
 
-// ReduceScatterTopo prices the reduce-scatter half of the hierarchical
-// all-reduce on its own: the descending phases only.
-func ReduceScatterTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
-	if s.Ranks <= 1 {
-		return Cost{}
-	}
-	if t.Uniform() {
-		return ReduceScatter(s.Ranks, words, t.Machine())
-	}
-	top := topActive(s)
-	var total Cost
-	shard := words
-	for i := 0; i <= top; i++ {
-		lv := s.Levels[i]
-		if lv.Fanout <= 1 {
-			continue
-		}
-		c := ReduceScatter(lv.Fanout, shard, onLink(t.Levels[i].Link))
-		total = total.Add(atLevel(serializePlanes(c, lv.Planes), i))
-		shard /= float64(lv.Fanout)
-	}
-	return total
-}
-
-// BroadcastTopo prices the binomial broadcast over a group with level
-// span s: trees fan out from the outermost active level down — once
-// across the top sub-units, then within each — carrying the full words
-// at every level (no plane serialization: one plane broadcasts).
-func BroadcastTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
-	if s.Ranks <= 1 {
-		return Cost{}
-	}
-	if t.Uniform() {
-		return Broadcast(s.Ranks, words, t.Machine())
-	}
-	var total Cost
-	for i := topActive(s); i >= 0; i-- {
-		lv := s.Levels[i]
-		if lv.Fanout <= 1 {
-			continue
-		}
-		total = total.Add(atLevel(Broadcast(lv.Fanout, words, onLink(t.Levels[i].Link)), i))
-	}
-	return total
-}
-
 // PointToPointTopo prices one pairwise message of words words: α + β·n
 // on the link of the innermost level whose groups contain both
-// endpoints (grid.ColNeighborsLevel).
+// endpoints (grid.ColNeighborsLevelAt).
 func PointToPointTopo(level int, words float64, t machine.Topology) Cost {
 	if t.Uniform() {
 		return PointToPoint(words, t.Machine())
@@ -213,7 +167,7 @@ func PointToPointTopo(level int, words float64, t machine.Topology) Cost {
 // MaxCost returns the most expensive of pricing one collective over each
 // distinct group span — the span that governs a bulk-synchronous step
 // whose groups straddle sub-unit boundaries unevenly. Ties keep the
-// first span (the dedupe order of grid.*GroupSpans is deterministic).
+// first span (the dedupe order of grid.*GroupSpansAt is deterministic).
 func MaxCost(spans []grid.LevelSpan, price func(grid.LevelSpan) Cost) Cost {
 	var worst Cost
 	for i, s := range spans {

@@ -43,8 +43,6 @@ func TestUniformTopologyIsExactlyFlat(t *testing.T) {
 		}{
 			{"all-gather", AllGather(p, words, m), AllGatherTopo(s, words, topo)},
 			{"all-reduce", AllReduce(p, words, m), AllReduceTopo(s, words, topo)},
-			{"reduce-scatter", ReduceScatter(p, words, m), ReduceScatterTopo(s, words, topo)},
-			{"broadcast", Broadcast(p, words, m), BroadcastTopo(s, words, topo)},
 			{"p2p", PointToPoint(words, m), PointToPointTopo(0, words, topo)},
 		}
 		for _, c := range checks {
@@ -192,7 +190,7 @@ func TestMixedSpanAllReduceSerializesPlanes(t *testing.T) {
 // Balanced-span bandwidth accounting with equal β at both levels: the
 // all-gather's serialized plane slices telescope back to the flat
 // (p−1)/p factor (the NIC moves the result once either way), while the
-// all-reduce and reduce-scatter now pay the NIC serialization — each of
+// all-reduce now pays the NIC serialization — each of
 // the m planes pushes its full per-rank shard through the node's single
 // link, so the hierarchical bandwidth is (m−1)/m + (n−1)/n of the
 // volume, strictly above the flat (p−1)/p.
@@ -225,16 +223,6 @@ func TestHierarchicalBandwidthAccounting(t *testing.T) {
 		if math.Abs(got-flat) > 1e-12*flat {
 			t.Fatalf("all-gather %d=%dx%d: hierarchical bandwidth %g != flat %g", c.p, c.nodes, c.per, got, flat)
 		}
-
-		flat = ReduceScatter(c.p, words, m).Bandwidth
-		got = ReduceScatterTopo(s, words, topo).Bandwidth
-		want = m.Beta * words * congested
-		if math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("reduce-scatter %d=%dx%d: hierarchical bandwidth %g, want %g", c.p, c.nodes, c.per, got, want)
-		}
-		if got <= flat {
-			t.Fatalf("reduce-scatter %d=%dx%d: NIC-serialized bandwidth %g must exceed flat %g", c.p, c.nodes, c.per, got, flat)
-		}
 	}
 }
 
@@ -248,10 +236,8 @@ func TestLevelAttributionSumsToTotal(t *testing.T) {
 		s := span(nodes*per, nodes, per, per)
 		words := rng.Float64() * 1e6
 		for name, c := range map[string]Cost{
-			"all-gather":     AllGatherTopo(s, words, topo),
-			"all-reduce":     AllReduceTopo(s, words, topo),
-			"reduce-scatter": ReduceScatterTopo(s, words, topo),
-			"broadcast":      BroadcastTopo(s, words, topo),
+			"all-gather": AllGatherTopo(s, words, topo),
+			"all-reduce": AllReduceTopo(s, words, topo),
 		} {
 			if s.Ranks > 1 && !c.Leveled() {
 				t.Fatalf("%s on non-uniform topology must be leveled: %+v", name, c)
@@ -302,7 +288,6 @@ func TestTopoEdgeCases(t *testing.T) {
 	for name, c := range map[string]Cost{
 		"empty all-reduce":     AllReduceTopo(grid.LevelSpan{}, 1e6, topo),
 		"singleton all-gather": AllGatherTopo(span(1, 1, 1, 1), 1e6, topo),
-		"singleton broadcast":  BroadcastTopo(span(1, 1, 1, 1), 1e6, topo),
 	} {
 		if (c != Cost{}) {
 			t.Fatalf("%s: want zero cost, got %+v", name, c)

@@ -58,8 +58,6 @@ func TestUniformCollapseProperty(t *testing.T) {
 		}{
 			{"all-gather", AllGather(p, words, m), AllGatherTopo(s, words, topo)},
 			{"all-reduce", AllReduce(p, words, m), AllReduceTopo(s, words, topo)},
-			{"reduce-scatter", ReduceScatter(p, words, m), ReduceScatterTopo(s, words, topo)},
-			{"broadcast", Broadcast(p, words, m), BroadcastTopo(s, words, topo)},
 			{"p2p", PointToPoint(words, m), PointToPointTopo(rng.Intn(depth), words, topo)},
 		}
 		for _, c := range checks {

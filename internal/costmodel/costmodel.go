@@ -1,9 +1,12 @@
 // Package costmodel implements the paper's communication-complexity
-// formulas — Eq. 3 (pure model), Eq. 4 (pure batch), Eq. 6 (redistribution),
-// Eq. 7 (pure domain), Eq. 8 (integrated 1.5D model+batch) and Eq. 9 (fully
-// integrated model+batch+domain) — as per-layer α–β cost breakdowns, plus
-// the 2D-SUMMA comparison of Section 4 and the communication/computation
-// overlap variant of Fig. 8.
+// formulas as per-layer α–β cost breakdowns. One call, Env.FullIntegrated,
+// prices Eq. 9 (fully integrated model+batch+domain) on a Pr × Pc grid
+// with a per-layer strategy assignment; Eq. 3 (pure model), Eq. 4 (pure
+// batch), Eq. 7 (pure domain) and Eq. 8 (integrated 1.5D model+batch) are
+// its grid and assignment corners, and RedistributionSeconds prices
+// Eq. 6 (redistribution). The package also carries the 2D-SUMMA
+// comparison of Section 4 and the communication/computation overlap
+// variant of Fig. 8.
 //
 // All formulas follow the paper's conventions: sums run over weighted
 // layers (conv and FC); the activation all-gather sum runs over all
@@ -17,7 +20,6 @@ import (
 
 	"dnnparallel/internal/collective"
 	"dnnparallel/internal/grid"
-	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
 )
 
@@ -121,11 +123,6 @@ func gridDesc(scheme string, g grid.Grid, B int) string {
 		", B=" + strconv.Itoa(B)
 }
 
-// flatDesc renders "<scheme>, P=<P>, B=<B>" without fmt.
-func flatDesc(scheme string, P, B int) string {
-	return scheme + ", P=" + strconv.Itoa(P) + ", B=" + strconv.Itoa(B)
-}
-
 // LevelSeconds sums the per-level attribution across every layer and
 // collective: entry i is the seconds the iteration spends on link level
 // i (innermost first, labeled by LevelNames). nil for flat breakdowns.
@@ -198,99 +195,6 @@ func (b *Breakdown) BackwardSeconds() float64 {
 	return t
 }
 
-// PureModel returns Eq. 3: 1-D model parallelism over P processes.
-//
-//	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
-//	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
-func PureModel(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureModel(net, B, P)
-}
-
-// PureModel is Eq. 3 priced against the environment's topology: the
-// P-wide all-gather/all-reduce groups span the whole machine.
-func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure model", P, B), len(widx))
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	for k, li := range widx {
-		l := &net.Layers[li]
-		lc := LayerCost{Index: li, Name: l.Name, Strategy: Model}
-		lc.AllGather = pr.colAllGather(float64(B) * float64(l.OutSize()))
-		if k > 0 { // no ∆X beyond the first layer
-			lc.ActReduce = pr.colAllReduce(float64(B) * float64(l.InSize()))
-		}
-		b.Layers = append(b.Layers, lc)
-	}
-	return b
-}
-
-// PureBatch returns Eq. 4: batch parallelism over P processes.
-//
-//	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
-func PureBatch(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureBatch(net, B, P)
-}
-
-// PureBatch is Eq. 4 priced against the environment's topology.
-func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure batch", P, B), len(widx))
-	pr := e.pricerFor(grid.Grid{Pr: 1, Pc: P})
-	for _, li := range widx {
-		l := &net.Layers[li]
-		lc := LayerCost{Index: li, Name: l.Name, Strategy: BatchOnly}
-		lc.GradReduce = pr.allAllReduce(float64(l.Weights()))
-		b.Layers = append(b.Layers, lc)
-	}
-	return b
-}
-
-// Redistribute returns Eq. 6: the one-time cost of switching layer i's
-// activations from a batch distribution to a model distribution — an
-// all-gather of B·d_i words over P processes. The paper notes this is
-// asymptotically free relative to the subsequent model-parallel step.
-func Redistribute(net *nn.Network, li, B, P int, m machine.Machine) collective.Cost {
-	return FlatEnv(m).Redistribute(net, li, B, P)
-}
-
-// Redistribute is Eq. 6 priced against the environment's topology.
-func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
-	l := &net.Layers[li]
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	return pr.colAllGather(float64(B) * float64(l.OutSize()))
-}
-
-// PureDomain returns Eq. 7: domain parallelism over P processes. Each
-// process holds all weights but a 1/P horizontal slab of every sample.
-//
-//	T = Σ_i (α + β·B·X_W·X_C·⌊kh/2⌋)        forward input halo
-//	  + Σ_i (α + β·B·Y_W·Y_C·⌊kw/2⌋)        backward output halo
-//	  + 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)  gradient all-reduce
-//
-// For fully-connected layers the paper sets kh = X_H, kw = X_W ("the halo
-// region will consist of all of the input activations"); we encode that
-// intent directly: the FC halo volume is the entire input (forward) and
-// output (backward) activation block, which is why domain parallelism is
-// never chosen for FC layers.
-func PureDomain(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureDomain(net, B, P)
-}
-
-// PureDomain is Eq. 7 priced against the environment's topology: halo
-// partners are spatially adjacent machine ranks, the gradient all-reduce
-// spans the whole machine.
-func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure domain", P, B), len(widx))
-	// Pure domain does not split the batch (Pc = 1): every process holds
-	// a slab of all B samples, so halo volumes carry the full B of Eq. 7.
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	for _, li := range widx {
-		b.Layers = append(b.Layers, domainLayerCost(net, li, B, pr))
-	}
-	return b
-}
-
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo
 // volumes scaled by the local batch B/Pc and the gradient all-reduce over
 // all P processes.
@@ -313,34 +217,8 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer) LayerCost {
 		lc.FwdHalo = pr.halo(localB * float64(l.InSize()))
 		lc.BwdHalo = pr.halo(localB * float64(l.OutSize()))
 	}
-	lc.GradReduce = pr.allAllReduce(float64(l.Weights()))
+	lc.GradReduce = pr.allReduce(pr.all, float64(l.Weights()))
 	return lc
-}
-
-// Integrated returns Eq. 8: the 1.5D integrated model+batch algorithm on a
-// Pr × Pc grid. Every weighted layer is treated as model-parallel along Pr.
-//
-//	T = Σ_{i=1..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_i)
-//	  + 2·Σ_{i=2..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_{i−1})
-//	  + 2·Σ_i (α⌈log Pc⌉ + β·(Pc−1)/Pc·|W_i|/Pr)
-//
-// With Pr = 1 it reduces exactly to Eq. 4; with Pc = 1 the first two sums
-// are exactly Eq. 3 and the third vanishes.
-func Integrated(net *nn.Network, B int, g grid.Grid, m machine.Machine) *Breakdown {
-	return FlatEnv(m).Integrated(net, B, g)
-}
-
-// Integrated is Eq. 8 priced against the environment's topology: the
-// all-gather/∆X groups are the placement's column groups, the ∆W groups
-// its row groups.
-func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(gridDesc("integrated 1.5D", g, B), len(widx))
-	pr := e.pricerFor(g)
-	for k, li := range widx {
-		b.Layers = append(b.Layers, modelLayerCost(net, li, B, pr, k == 0))
-	}
-	return b
 }
 
 // modelLayerCost is the Eq. 8 per-layer cost for a layer in L_M.
@@ -348,32 +226,32 @@ func modelLayerCost(net *nn.Network, li, B int, pr *pricer, first bool) LayerCos
 	l := &net.Layers[li]
 	lc := LayerCost{Index: li, Name: l.Name, Strategy: Model}
 	localB := float64(B) / float64(pr.g.Pc)
-	lc.AllGather = pr.colAllGather(localB * float64(l.OutSize()))
+	lc.AllGather = pr.allGather(pr.col, localB*float64(l.OutSize()))
 	if !first {
-		lc.ActReduce = pr.colAllReduce(localB * float64(l.InSize()))
+		lc.ActReduce = pr.allReduce(pr.col, localB*float64(l.InSize()))
 	}
-	lc.GradReduce = pr.rowAllReduce(float64(l.Weights()) / float64(pr.g.Pr))
+	lc.GradReduce = pr.allReduce(pr.row, float64(l.Weights())/float64(pr.g.Pr))
 	return lc
 }
 
 // FCGradReduceSeconds returns the summed ∆W all-reduce seconds of the
 // network's fully-connected layers under the Model strategy on grid g —
-// the exact rowAllReduce term modelLayerCost charges them. Every planner
-// mode assigns Model to FC layers (domain halos there would ship whole
-// activation panels, and conv-batch applies only to conv layers), so for
-// a fixed (grid, placement) this sum is a monotone additive floor under
-// any per-layer assignment: the branch-and-bound lower bound of the
-// planner's non-overlapped search adds it to the compute time before
+// the exact row-group all-reduce modelLayerCost charges them. Every
+// planner mode assigns Model to FC layers (domain halos there would ship
+// whole activation panels, and conv-batch applies only to conv layers),
+// so for a fixed (grid, placement) this sum is a monotone additive floor
+// under any per-layer assignment: the branch-and-bound lower bound of
+// the planner's non-overlapped search adds it to the compute time before
 // deciding whether a candidate can still beat the incumbent.
 func (e Env) FCGradReduceSeconds(net *nn.Network, g grid.Grid) float64 {
-	pr := e.pricerFor(g)
+	pr := e.pricerAt(g, 0)
 	var secs float64
 	for _, li := range net.WeightedLayers() {
 		l := &net.Layers[li]
 		if l.Kind != nn.FC {
 			continue
 		}
-		secs += pr.rowAllReduce(float64(l.Weights()) / float64(g.Pr)).Total()
+		secs += pr.allReduce(pr.row, float64(l.Weights())/float64(g.Pr)).Total()
 	}
 	return secs
 }
@@ -384,13 +262,13 @@ func batchOnlyLayerCost(net *nn.Network, li int, pr *pricer) LayerCost {
 	l := &net.Layers[li]
 	return LayerCost{
 		Index: li, Name: l.Name, Strategy: BatchOnly,
-		GradReduce: pr.allAllReduce(float64(l.Weights())),
+		GradReduce: pr.allReduce(pr.all, float64(l.Weights())),
 	}
 }
 
 // Assignment maps each weighted layer index (an index into Network.Layers)
-// to its Strategy. Layers absent from the map default to Model, making
-// FullIntegrated(…, nil, …) ≡ Integrated (L_M = all layers, L_D = ∅).
+// to its Strategy. Layers absent from the map default to Model, so a nil
+// assignment prices the Eq. 8 scheme (L_M = all layers, L_D = ∅).
 type Assignment map[int]Strategy
 
 // UniformAssignment returns an Assignment giving strategy s to every
@@ -419,19 +297,52 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 }
 
 // FullIntegrated returns Eq. 9: the fully integrated model+batch+domain
-// cost on a Pr × Pc grid with a per-layer strategy assignment. L_M layers
-// pay Eq. 8 terms over the Pr/Pc groups; L_D layers pay halo exchanges at
-// local batch B/Pc plus a full-P gradient all-reduce; BatchOnly layers pay
-// only the full-P gradient all-reduce.
-func FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment, m machine.Machine) *Breakdown {
-	return FlatEnv(m).FullIntegrated(net, B, g, assign)
-}
-
-// FullIntegrated is Eq. 9 priced against the environment's topology.
+// cost on a Pr × Pc grid with a per-layer strategy assignment, priced
+// against the environment's topology. L_M layers pay Eq. 8 terms over the
+// Pr/Pc groups; L_D layers pay halo exchanges at local batch B/Pc plus a
+// full-P gradient all-reduce; BatchOnly layers pay only the full-P
+// gradient all-reduce.
+//
+// It is the only Eq. 3–9 pricing call: the paper's other schemes are
+// corners of the same grid, not separate code. Sums run over the
+// weighted layers i = 1..L; d_i is layer i's output size and |W_i| its
+// weight count.
+//
+// Eq. 8, the integrated 1.5D model+batch scheme, is any grid with a nil
+// assignment (L_M = all layers, L_D = ∅):
+//
+//	T = Σ_{i=1..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_i)
+//	  + 2·Σ_{i=2..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_{i−1})
+//	  + 2·Σ_i (α⌈log Pc⌉ + β·(Pc−1)/Pc·|W_i|/Pr)
+//
+// Eq. 3, pure model parallelism, is the P×1 grid with a nil assignment;
+// the third Eq. 8 sum vanishes over 1-process row groups:
+//
+//	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
+//	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
+//
+// Eq. 4, pure batch parallelism, is the 1×P grid with every layer
+// BatchOnly (a nil assignment prices the same seconds):
+//
+//	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
+//
+// Eq. 7, pure domain parallelism, is the P×1 grid with every layer
+// Domain: each process holds all weights but a 1/P horizontal slab of
+// all B samples, so the halo volumes carry the full batch:
+//
+//	T = Σ_i (α + β·B·X_W·X_C·⌊kh/2⌋)        forward input halo
+//	  + Σ_i (α + β·B·Y_W·Y_C·⌊kw/2⌋)        backward output halo
+//	  + 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)  gradient all-reduce
+//
+// For FC layers the paper sets kh = X_H, kw = X_W: the halo is the whole
+// input (forward) and output (backward) activation block, which is why
+// domain parallelism is never chosen for FC layers.
+//
+// Eq. 6, the batch→model redistribution, is RedistributionSeconds.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
-	pr := e.pricerFor(g)
+	pr := e.pricerAt(g, 0)
 	for _, li := range widx {
 		s := Model
 		if assign != nil {
@@ -470,7 +381,7 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 	if g.Pr == 1 {
 		return 0
 	}
-	pr := e.pricerFor(g)
+	pr := e.pricerAt(g, 0)
 	widx := net.WeightedLayers()
 	var secs float64
 	for k := 1; k < len(widx); k++ {
@@ -479,7 +390,7 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 			continue
 		}
 		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k-1]].OutSize())
-		secs += 2 * pr.colAllGather(words).Total()
+		secs += 2 * pr.allGather(pr.col, words).Total()
 	}
 	return secs
 }

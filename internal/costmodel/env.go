@@ -8,23 +8,16 @@ import (
 
 // Env is the pricing environment for the Eq. 3–9 formulas: the machine
 // topology plus the rank placement that decides where each Pr/Pc
-// collective group physically sits. The flat environment (FlatEnv) is
-// the paper's setting — a uniform topology prices every term with the
-// flat closed forms, bit-for-bit — while a hierarchical topology prices
-// each group against its actual level span: groups inside one node ride
-// the fast link, one-rank-per-node groups the node uplink, and
-// straddling groups pay a recursive decomposition level by level (see
-// internal/collective).
+// collective group physically sits. The flat environment
+// Env{Topo: machine.Flat(m)} is the paper's setting — a uniform topology
+// prices every term with the flat closed forms, bit-for-bit — while a
+// hierarchical topology prices each group against its actual level
+// span: groups inside one node ride the fast link, one-rank-per-node
+// groups the node uplink, and straddling groups pay a recursive
+// decomposition level by level (see internal/collective).
 type Env struct {
 	Topo      machine.Topology
 	Placement grid.Placement
-}
-
-// FlatEnv wraps a flat machine as the one-level environment. Every
-// Env method on it returns exactly what the corresponding flat function
-// returns.
-func FlatEnv(m machine.Machine) Env {
-	return Env{Topo: machine.Flat(m)}
 }
 
 // Flat reports whether the environment degenerates to a flat machine.
@@ -48,10 +41,6 @@ type pricer struct {
 	// spans backs the single-span slices above so the search loop's
 	// pricer costs one allocation, not four.
 	spans [3]grid.LevelSpan
-}
-
-func (e Env) pricerFor(g grid.Grid) *pricer {
-	return e.pricerAt(g, 0)
 }
 
 // pricerAt builds a pricer for a grid whose process (0,0) sits at
@@ -82,44 +71,26 @@ func (e Env) pricerAt(g grid.Grid, offset int) *pricer {
 	return p
 }
 
-// colAllGather prices the forward activation all-gather over the
-// Pr-sized column groups (worst group shape governs).
-func (p *pricer) colAllGather(words float64) collective.Cost {
+// allGather prices an all-gather over one family of collective groups —
+// p.col (the Pr-sized column groups), p.row (the Pc-sized row groups)
+// or p.all (the whole grid): the closed form of the group size on a flat
+// machine, the worst group shape otherwise.
+func (p *pricer) allGather(groups []grid.LevelSpan, words float64) collective.Cost {
 	if p.flat {
-		return collective.AllGather(p.g.Pr, words, p.m)
+		return collective.AllGather(groups[0].Ranks, words, p.m)
 	}
-	return collective.MaxCost(p.col, func(s grid.LevelSpan) collective.Cost {
+	return collective.MaxCost(groups, func(s grid.LevelSpan) collective.Cost {
 		return collective.AllGatherTopo(s, words, p.env.Topo)
 	})
 }
 
-// colAllReduce prices the backprop ∆X all-reduce over the column groups.
-func (p *pricer) colAllReduce(words float64) collective.Cost {
+// allReduce prices an all-reduce over one family of collective groups
+// (see allGather).
+func (p *pricer) allReduce(groups []grid.LevelSpan, words float64) collective.Cost {
 	if p.flat {
-		return collective.AllReduce(p.g.Pr, words, p.m)
+		return collective.AllReduce(groups[0].Ranks, words, p.m)
 	}
-	return collective.MaxCost(p.col, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllReduceTopo(s, words, p.env.Topo)
-	})
-}
-
-// rowAllReduce prices the ∆W all-reduce over the Pc-sized row groups.
-func (p *pricer) rowAllReduce(words float64) collective.Cost {
-	if p.flat {
-		return collective.AllReduce(p.g.Pc, words, p.m)
-	}
-	return collective.MaxCost(p.row, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllReduceTopo(s, words, p.env.Topo)
-	})
-}
-
-// allAllReduce prices a full-P all-reduce (domain/batch-only gradient
-// reductions).
-func (p *pricer) allAllReduce(words float64) collective.Cost {
-	if p.flat {
-		return collective.AllReduce(p.g.P(), words, p.m)
-	}
-	return collective.MaxCost(p.all, func(s grid.LevelSpan) collective.Cost {
+	return collective.MaxCost(groups, func(s grid.LevelSpan) collective.Cost {
 		return collective.AllReduceTopo(s, words, p.env.Topo)
 	})
 }

@@ -19,7 +19,7 @@ func TestFirstModelLayerAfterDomainPaysActReduce(t *testing.T) {
 	net := nn.AlexNet()
 	g := grid.Grid{Pr: 8, Pc: 64}
 	assign := ConvAssignment(net, Domain, Model)
-	b := FullIntegrated(net, 512, g, assign, knl())
+	b := onFlat(knl()).FullIntegrated(net, 512, g, assign)
 
 	widx := net.WeightedLayers()
 	sawModel := false
@@ -46,7 +46,7 @@ func TestFirstModelLayerAfterDomainPaysActReduce(t *testing.T) {
 	}
 
 	// And the genuine first weighted layer, when Model, still skips it.
-	uniform := FullIntegrated(net, 512, g, UniformAssignment(net, Model), knl())
+	uniform := onFlat(knl()).FullIntegrated(net, 512, g, UniformAssignment(net, Model))
 	if uniform.Layers[0].ActReduce.Total() != 0 {
 		t.Fatal("the network's first weighted layer must never pay a ∆X all-reduce")
 	}
@@ -110,11 +110,7 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 			name       string
 			flat, topo *Breakdown
 		}{
-			{"FullIntegrated", FullIntegrated(net, B, g, assign, m), env.FullIntegrated(net, B, g, assign)},
-			{"Integrated", Integrated(net, B, g, m), env.Integrated(net, B, g)},
-			{"PureModel", PureModel(net, B, p, m), env.PureModel(net, B, p)},
-			{"PureBatch", PureBatch(net, B, p, m), env.PureBatch(net, B, p)},
-			{"PureDomain", PureDomain(net, B, p, m), env.PureDomain(net, B, p)},
+			{"FullIntegrated", onFlat(m).FullIntegrated(net, B, g, assign), env.FullIntegrated(net, B, g, assign)},
 		}
 		for _, pair := range pairs {
 			if len(pair.flat.Layers) != len(pair.topo.Layers) {
@@ -127,9 +123,6 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 						pair.flat.Layers[i], pair.topo.Layers[i])
 				}
 			}
-		}
-		if rs := env.Redistribute(net, 0, B, p); rs != Redistribute(net, 0, B, p, m) {
-			t.Fatalf("Redistribute differs under uniform topology")
 		}
 	}
 }
@@ -187,8 +180,8 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 8}
 	B := 512
 
-	flatBD := Integrated(net, B, g, flat)
-	colPacked := Env{Topo: topo, Placement: grid.ColMajor}.Integrated(net, B, g)
+	flatBD := onFlat(flat).FullIntegrated(net, B, g, nil)
+	colPacked := Env{Topo: topo, Placement: grid.ColMajor}.FullIntegrated(net, B, g, nil)
 	if colPacked.TotalSeconds() >= flatBD.TotalSeconds() {
 		t.Fatalf("packing the heavy groups on-node (%g) must beat the flat Aries-only model (%g)",
 			colPacked.TotalSeconds(), flatBD.TotalSeconds())

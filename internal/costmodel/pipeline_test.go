@@ -24,7 +24,7 @@ func singleStage(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment, 
 
 // The degenerate pipeline (S = 1, M = 1) must price exactly like the
 // paper's single iteration composed from its independent primitives —
-// FullIntegrated breakdown, GridLayerTimes split, SimulateLayers
+// FullIntegrated breakdown, GridLayerTimes split, timeline.Single()
 // schedule: same makespan, and overhead equal to GridLayerTimes'
 // residual — across random nets, grids, policies, and both flat and
 // two-level environments.
@@ -36,7 +36,7 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 		if net == nil {
 			continue
 		}
-		env := FlatEnv(knl())
+		env := onFlat(knl())
 		if trial%3 == 0 {
 			env = Env{Topo: machine.CoriKNLNodes(4), Placement: grid.ColMajor}
 		}
@@ -50,7 +50,7 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 			}
 			b := env.FullIntegrated(net, B, g, assign)
 			times, ov := cm.GridLayerTimes(net, B, g)
-			want, err := timeline.SimulateLayers(TimelineLayers(b, times), pol)
+			want, err := timeline.SimulatePipeline(TimelineLayers(b, times), pol, timeline.Single())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 func TestPipelineSweetSpotOnAlexNet(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
-	e := FlatEnv(machine.CoriKNL())
+	e := onFlat(machine.CoriKNL())
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	iter := func(M int, pol timeline.Policy) float64 {
@@ -115,7 +115,7 @@ func TestPipelineSweetSpotOnAlexNet(t *testing.T) {
 func TestPipelineCommFlushAccounting(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
-	e := FlatEnv(machine.CoriKNL())
+	e := onFlat(machine.CoriKNL())
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	const B, M = 2048, 8
@@ -134,7 +134,7 @@ func TestPipelineCommFlushAccounting(t *testing.T) {
 func TestPipelineValidationErrors(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
-	e := FlatEnv(machine.CoriKNL())
+	e := onFlat(machine.CoriKNL())
 	assign := UniformAssignment(net, Model)
 	cases := []struct {
 		name  string

@@ -44,7 +44,8 @@ func randomNetwork(rng *rand.Rand) *nn.Network {
 }
 
 // TestRandomNetsIntegratedLimits: Eq. 8's Pr=1 ⇒ Eq. 4 and Pc=1 ⇒ Eq. 3
-// reductions hold for random architectures.
+// reductions hold for random architectures, against the written-out
+// equations.
 func TestRandomNetsIntegratedLimits(t *testing.T) {
 	f := func(seed int64, pRaw uint8, bRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,14 +55,12 @@ func TestRandomNetsIntegratedLimits(t *testing.T) {
 		}
 		p := 2 + int(pRaw)%62
 		b := 1 + int(bRaw)%512
-		eq8b := Integrated(net, b, grid.Grid{Pr: 1, Pc: p}, knl()).TotalSeconds()
-		eq4 := PureBatch(net, b, p, knl()).TotalSeconds()
-		if math.Abs(eq8b-eq4) > 1e-12*math.Max(1, eq4) {
+		eq8b := onFlat(knl()).FullIntegrated(net, b, grid.Grid{Pr: 1, Pc: p}, nil).TotalSeconds()
+		if !closeTo(eq8b, eq4(net, p, knl())) {
 			return false
 		}
-		eq8m := Integrated(net, b, grid.Grid{Pr: p, Pc: 1}, knl()).TotalSeconds()
-		eq3 := PureModel(net, b, p, knl()).TotalSeconds()
-		return math.Abs(eq8m-eq3) < 1e-12*math.Max(1, eq3)
+		eq8m := onFlat(knl()).FullIntegrated(net, b, grid.Grid{Pr: p, Pc: 1}, nil).TotalSeconds()
+		return closeTo(eq8m, eq3(net, b, p, knl()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestRandomNetsBreakdownConsistency(t *testing.T) {
 				assign[li] = Model
 			}
 		}
-		bd := FullIntegrated(net, b, g, assign, knl())
+		bd := onFlat(knl()).FullIntegrated(net, b, g, assign)
 		total := bd.TotalSeconds()
 		if math.IsNaN(total) || math.IsInf(total, 0) || total < 0 {
 			return false

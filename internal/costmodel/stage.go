@@ -25,7 +25,7 @@
 // With S = 1 and M = 1 the construction degenerates to the paper's
 // single iteration (property-tested): one stage, offset 0, no handoffs,
 // the FullIntegrated breakdown, the GridLayerTimes split, and the
-// SimulateLayers schedule.
+// timeline.Single() schedule.
 package costmodel
 
 import (

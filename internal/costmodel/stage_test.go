@@ -50,7 +50,7 @@ func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 		if net == nil {
 			continue
 		}
-		env := FlatEnv(knl())
+		env := onFlat(knl())
 		if trial%3 == 0 {
 			env = Env{Topo: machine.CoriKNLNodes(4), Placement: grid.ColMajor}
 		}
@@ -103,7 +103,7 @@ func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 func TestStageIterationTwoStageAccounting(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
-	env := FlatEnv(machine.CoriKNL())
+	env := onFlat(machine.CoriKNL())
 	widx := net.WeightedLayers()
 	part := stage.Balanced(len(widx), 2)
 	grids := []grid.Grid{{Pr: 4, Pc: 4}, {Pr: 2, Pc: 8}}
@@ -205,7 +205,7 @@ func TestStageBoundaryLevelAttribution(t *testing.T) {
 func TestStageIterationValidation(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
-	env := FlatEnv(machine.CoriKNL())
+	env := onFlat(machine.CoriKNL())
 	widx := net.WeightedLayers()
 	sched := timeline.Schedule{Shape: timeline.GPipe, MicroBatches: 2}
 	g := grid.Grid{Pr: 2, Pc: 2}

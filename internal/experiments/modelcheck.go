@@ -65,48 +65,48 @@ func ModelCheck() ([]ModelCheckRow, error) {
 		return (c2 - c1) / 3, nil
 	}
 
-	var rows []ModelCheckRow
-	add := func(name, eq, gridStr string, measured, predicted float64) {
+	batch := func(w *mpi.World, cfg parallel.Config, _ grid.Grid) (parallel.Result, error) {
+		return parallel.RunBatch(w, cfg, ds)
+	}
+	model := func(w *mpi.World, cfg parallel.Config, _ grid.Grid) (parallel.Result, error) {
+		return parallel.RunModel(w, cfg, ds)
+	}
+	integrated := func(w *mpi.World, cfg parallel.Config, g grid.Grid) (parallel.Result, error) {
+		return parallel.RunIntegrated15D(w, cfg, ds, g)
+	}
+	checks := []struct {
+		name, eq string
+		g        grid.Grid
+		run      func(w *mpi.World, cfg parallel.Config, g grid.Grid) (parallel.Result, error)
+	}{
+		{"batch", "Eq. 4", grid.Grid{Pr: 1, Pc: 4}, batch},
+		{"model", "Eq. 3", grid.Grid{Pr: 4, Pc: 1}, model},
+		{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 2, Pc: 2}, integrated},
+		{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 4, Pc: 2}, integrated},
+		{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 2, Pc: 4}, integrated},
+	}
+
+	// Every row's prediction is one Eq. 9 call with a nil assignment:
+	// pure batch (1×P) and pure model (P×1) are corners of the Eq. 8 grid.
+	env := costmodel.Env{Topo: machine.Flat(m)}
+	rows := make([]ModelCheckRow, 0, len(checks))
+	for _, c := range checks {
+		measured, err := steady(func(steps int) (parallel.Result, error) {
+			cfg := parallel.Config{Spec: spec, Seed: 5, LR: 0.01, Steps: steps, BatchSize: B}
+			return c.run(mpi.NewWorld(c.g.P(), m), cfg, c.g)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s %v: %w", c.name, c.g, err)
+		}
+		predicted := env.FullIntegrated(spec, B, c.g, nil).TotalSeconds()
 		rel := 0.0
 		if predicted > 0 {
 			rel = (measured - predicted) / predicted
 		}
 		rows = append(rows, ModelCheckRow{
-			Engine: name, Equation: eq, Grid: gridStr,
+			Engine: c.name, Equation: c.eq, Grid: c.g.String(),
 			Measured: measured, Predicted: predicted, RelError: rel,
 		})
-	}
-
-	mk := func(steps int) parallel.Config {
-		return parallel.Config{Spec: spec, Seed: 5, LR: 0.01, Steps: steps, BatchSize: B}
-	}
-
-	meas, err := steady(func(s int) (parallel.Result, error) {
-		return parallel.RunBatch(mpi.NewWorld(4, m), mk(s), ds)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("batch: %w", err)
-	}
-	add("batch", "Eq. 4", "1x4", meas, costmodel.PureBatch(spec, B, 4, m).TotalSeconds())
-
-	meas, err = steady(func(s int) (parallel.Result, error) {
-		return parallel.RunModel(mpi.NewWorld(4, m), mk(s), ds)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
-	add("model", "Eq. 3", "4x1", meas, costmodel.PureModel(spec, B, 4, m).TotalSeconds())
-
-	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
-		g := g
-		meas, err = steady(func(s int) (parallel.Result, error) {
-			return parallel.RunIntegrated15D(mpi.NewWorld(g.P(), m), mk(s), ds, g)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("1.5D %v: %w", g, err)
-		}
-		add("integrated-1.5D", "Eq. 8", g.String(), meas,
-			costmodel.Integrated(spec, B, g, m).TotalSeconds())
 	}
 	return rows, nil
 }

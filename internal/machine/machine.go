@@ -16,7 +16,10 @@
 //     the flat numbers exactly.
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // WordBytes is the size of one communicated word. The paper's platform
 // constants (1/β = 6 GB/s) are byte-based; all volume terms in the cost
@@ -49,19 +52,24 @@ func CoriKNL() Machine {
 	}
 }
 
-// Validate reports an error when the machine constants are not physical.
+// Validate reports an error when the machine constants are not physical:
+// α must be finite and ≥ 0, β and the peak rate finite and > 0.
 func (m Machine) Validate() error {
-	if m.Alpha < 0 {
-		return fmt.Errorf("machine %q: negative latency %g", m.Name, m.Alpha)
+	if !finite(m.Alpha) || m.Alpha < 0 {
+		return fmt.Errorf("machine %q: latency %g is not a finite value ≥ 0", m.Name, m.Alpha)
 	}
-	if m.Beta <= 0 {
-		return fmt.Errorf("machine %q: non-positive inverse bandwidth %g", m.Name, m.Beta)
+	if !finite(m.Beta) || m.Beta <= 0 {
+		return fmt.Errorf("machine %q: inverse bandwidth %g is not a finite value > 0", m.Name, m.Beta)
 	}
-	if m.PeakFlops <= 0 {
-		return fmt.Errorf("machine %q: non-positive peak flops %g", m.Name, m.PeakFlops)
+	if !finite(m.PeakFlops) || m.PeakFlops <= 0 {
+		return fmt.Errorf("machine %q: peak flops %g is not a finite value > 0", m.Name, m.PeakFlops)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf — the sign checks
+// alone pass NaN and the +Inf β of a bandwidth too small to invert.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // BandwidthBytes returns the link bandwidth in bytes per second.
 func (m Machine) BandwidthBytes() float64 { return WordBytes / m.Beta }

@@ -27,6 +27,13 @@ func TestValidateRejectsNonPhysical(t *testing.T) {
 		{Name: "negAlpha", Alpha: -1, Beta: 1e-9, PeakFlops: 1},
 		{Name: "zeroBeta", Alpha: 1e-6, Beta: 0, PeakFlops: 1},
 		{Name: "negPeak", Alpha: 1e-6, Beta: 1e-9, PeakFlops: -5},
+		// NaN passes every sign check and an overflowed β is +Inf.
+		{Name: "NaNAlpha", Alpha: math.NaN(), Beta: 1e-9, PeakFlops: 1},
+		{Name: "infAlpha", Alpha: math.Inf(1), Beta: 1e-9, PeakFlops: 1},
+		{Name: "NaNBeta", Alpha: 1e-6, Beta: math.NaN(), PeakFlops: 1},
+		{Name: "infBeta", Alpha: 1e-6, Beta: math.Inf(1), PeakFlops: 1},
+		{Name: "NaNPeak", Alpha: 1e-6, Beta: 1e-9, PeakFlops: math.NaN()},
+		{Name: "infPeak", Alpha: 1e-6, Beta: 1e-9, PeakFlops: math.Inf(1)},
 	}
 	for _, m := range cases {
 		if m.Validate() == nil {

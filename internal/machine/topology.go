@@ -17,13 +17,14 @@ type Link struct {
 // BandwidthBytes returns the link bandwidth in bytes per second.
 func (l Link) BandwidthBytes() float64 { return WordBytes / l.Beta }
 
-// validate reports an error when the link constants are not physical.
+// validate reports an error when the link constants are not physical:
+// α must be finite and ≥ 0, β finite and > 0.
 func (l Link) validate(name, level string) error {
-	if l.Alpha < 0 {
-		return fmt.Errorf("machine %q: negative %s latency %g", name, level, l.Alpha)
+	if !finite(l.Alpha) || l.Alpha < 0 {
+		return fmt.Errorf("machine %q: %s latency %g is not a finite value ≥ 0", name, level, l.Alpha)
 	}
-	if l.Beta <= 0 {
-		return fmt.Errorf("machine %q: non-positive %s inverse bandwidth %g", name, level, l.Beta)
+	if !finite(l.Beta) || l.Beta <= 0 {
+		return fmt.Errorf("machine %q: %s inverse bandwidth %g is not a finite value > 0", name, level, l.Beta)
 	}
 	return nil
 }
@@ -233,8 +234,8 @@ func (t Topology) Validate() error {
 		}
 		prev = lv.GroupSize
 	}
-	if t.PeakFlops <= 0 {
-		return fmt.Errorf("machine %q: non-positive peak flops %g", t.Name, t.PeakFlops)
+	if !finite(t.PeakFlops) || t.PeakFlops <= 0 {
+		return fmt.Errorf("machine %q: peak flops %g is not a finite value > 0", t.Name, t.PeakFlops)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,11 @@ func TestTopologyValidateRejectsNonPhysical(t *testing.T) {
 		"zeroInterBeta": func(t *Topology) { t.Levels[len(t.Levels)-1].Link.Beta = 0 },
 		"zeroPPN":       func(t *Topology) { t.Levels[0].GroupSize = 0 },
 		"negPeak":       func(t *Topology) { t.PeakFlops = -1 },
+		"NaNIntraAlpha": func(t *Topology) { t.Levels[0].Link.Alpha = math.NaN() },
+		"infInterAlpha": func(t *Topology) { t.Levels[len(t.Levels)-1].Link.Alpha = math.Inf(1) },
+		"NaNIntraBeta":  func(t *Topology) { t.Levels[0].Link.Beta = math.NaN() },
+		"infInterBeta":  func(t *Topology) { t.Levels[len(t.Levels)-1].Link.Beta = math.Inf(1) },
+		"NaNPeak":       func(t *Topology) { t.PeakFlops = math.NaN() },
 		"boundedTop":    func(t *Topology) { t.Levels[len(t.Levels)-1].GroupSize = 128 },
 	}
 	for name, mutate := range cases {

@@ -24,6 +24,13 @@ func bwMachine() machine.Machine {
 	return machine.Machine{Name: "bw-only", Alpha: 0, Beta: 1e-9, PeakFlops: 1e12}
 }
 
+// eq9 is the cost model's one Eq. 3–9 pricing call on the flat machine
+// m; Eq. 4 (1×P), Eq. 3 (P×1) and Eq. 8 are its nil-assignment grid
+// corners.
+func eq9(spec *nn.Network, B int, g grid.Grid, m machine.Machine) float64 {
+	return costmodel.Env{Topo: machine.Flat(m)}.FullIntegrated(spec, B, g, nil).TotalSeconds()
+}
+
 // steadyStateComm measures per-step communication by running k and 2k
 // steps and differencing, cancelling one-time costs (final weight
 // assembly gathers).
@@ -62,7 +69,7 @@ func TestBatchEngineCommMatchesEq4(t *testing.T) {
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.PureBatch(spec, 16, p, m).TotalSeconds()
+	predicted := eq9(spec, 16, grid.Grid{Pr: 1, Pc: p}, m)
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
 		t.Fatalf("batch engine comm %.6g vs Eq. 4 %.6g (rel %.3f)", measured, predicted, rel)
 	}
@@ -85,7 +92,7 @@ func TestModelEngineCommMatchesEq3(t *testing.T) {
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.PureModel(spec, 16, p, m).TotalSeconds()
+	predicted := eq9(spec, 16, grid.Grid{Pr: p, Pc: 1}, m)
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
 		t.Fatalf("model engine comm %.6g vs Eq. 3 %.6g (rel %.3f)", measured, predicted, rel)
 	}
@@ -107,7 +114,7 @@ func TestIntegratedEngineCommMatchesEq8(t *testing.T) {
 			return res
 		}
 		measured := steadyStateComm(t, run, 3)
-		predicted := costmodel.Integrated(spec, 16, g, m).TotalSeconds()
+		predicted := eq9(spec, 16, g, m)
 		// The loss all-reduce over the row group adds a few words; allow 2%.
 		if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
 			t.Fatalf("grid %v: 1.5D engine comm %.6g vs Eq. 8 %.6g (rel %.3f)", g, measured, predicted, rel)

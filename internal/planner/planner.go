@@ -100,14 +100,14 @@ func (m *Mode) UnmarshalText(text []byte) error {
 type Options struct {
 	Machine machine.Machine
 	// Topology, when set (non-zero), prices every collective against the
-	// two-level intra-/inter-node machine and the candidate placements
-	// instead of the flat Machine (which then only documents the
-	// single-level view). A uniform Topology reproduces the flat
+	// hierarchical machine (any number of link levels) and the candidate
+	// placements instead of the flat Machine (which then only documents
+	// the single-level view). A uniform Topology reproduces the flat
 	// Machine's numbers to the last bit.
 	Topology machine.Topology
 	// Placements constrains the rank-placement search. nil means
 	// automatic: row-major only on a flat/uniform topology (placement
-	// cannot matter there), both placements on a two-level one.
+	// cannot matter there), both placements on a hierarchical one.
 	Placements []grid.Placement
 	Compute    compute.Model
 	Mode       Mode
@@ -229,7 +229,7 @@ func DefaultOptions() Options {
 	}
 }
 
-// topology returns the pricing topology: the explicit two-level one
+// topology returns the pricing topology: the explicit hierarchical one
 // when set, the flat embedding of Machine otherwise.
 func (o Options) topology() machine.Topology {
 	if o.Topology.IsZero() {
@@ -342,7 +342,7 @@ func (o Options) partitions(costs []float64, S int) ([]stage.Partition, error) {
 type Plan struct {
 	Grid grid.Grid
 	// Placement is the rank placement the plan was priced under (only
-	// meaningful with a two-level Options.Topology; row-major otherwise).
+	// meaningful on a hierarchical Options.Topology; row-major otherwise).
 	Placement  grid.Placement
 	Mode       Mode
 	Assignment costmodel.Assignment
@@ -466,8 +466,8 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 // autoAssignment chooses, per conv layer, the cheapest strategy available
 // on grid g by evaluating the per-layer Eq. 9 terms directly; FC layers
 // always use Model (domain halos there cost the whole activation panel).
-// On a two-level topology the choice is placement-sensitive: a strategy
-// whose collective groups pack onto nodes gets cheaper.
+// On a hierarchical topology the choice is placement-sensitive: a
+// strategy whose collective groups pack onto nodes gets cheaper.
 //
 // A layer's Eq. 9 cost depends only on its own strategy, so three
 // uniform-assignment breakdowns price every (layer, strategy) pair with
@@ -576,7 +576,7 @@ func (r Result) Speedup() (total, comm float64) {
 
 // Optimize searches every stage count S of Options.StageCounts (default
 // {1}), every Pr × Pc factorization of the per-stage process count P/S —
-// and, on a two-level topology, every rank placement of each grid — plus,
+// and, on a hierarchical topology, every rank placement of each grid — plus,
 // for S > 1, every candidate contiguous layer partition, returning the
 // feasible plan with the lowest iteration time. Each entry of Result.All
 // is one (stage count, grid) pair priced at its best placement,

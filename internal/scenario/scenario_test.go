@@ -358,6 +358,27 @@ func TestValidateErrors(t *testing.T) {
 				{AlphaSeconds: 1e-6, BandwidthGBs: 6},
 			}}
 		}, "topology"},
+		// A bandwidth too small to invert overflows β to +Inf, and NaN
+		// passes every sign check: both must be validation errors, not
+		// panics or an empty feasible set at pricing time.
+		"overflowing machine bandwidth": {func(s *Scenario) {
+			s.Machine = &MachineSpec{BandwidthGBs: 1e-320}
+		}, "machine"},
+		"NaN machine latency": {func(s *Scenario) {
+			s.Machine = &MachineSpec{AlphaSeconds: math.NaN()}
+		}, "machine"},
+		"overflowing level bandwidth": {func(s *Scenario) {
+			s.Topology = &TopologySpec{Levels: []LevelSpec{
+				{AlphaSeconds: 5e-7, BandwidthGBs: 1e-320, GroupRanks: 16},
+				{AlphaSeconds: 2e-6, BandwidthGBs: 6},
+			}}
+		}, "topology"},
+		"NaN level latency": {func(s *Scenario) {
+			s.Topology = &TopologySpec{Levels: []LevelSpec{
+				{AlphaSeconds: math.NaN(), BandwidthGBs: 60, GroupRanks: 16},
+				{AlphaSeconds: 2e-6, BandwidthGBs: 6},
+			}}
+		}, "topology"},
 		"bad mode":       {func(s *Scenario) { s.Mode = planner.Mode(99) }, "mode"},
 		"bad policy":     {func(s *Scenario) { s.Policy = timeline.Policy(99) }, "policy"},
 		"bad schedule":   {func(s *Scenario) { s.Schedule = timeline.Shape(99) }, "schedule"},

@@ -1,5 +1,6 @@
-// Multi-iteration pipeline schedules: the single-iteration layer list
-// generalized to M micro-batches flowing through S pipeline stages.
+// Pipeline schedules: the layer list simulated as M micro-batches
+// flowing through S pipeline stages. The single iteration is the
+// degenerate Single() schedule (M = 1, S = 1), not separate code.
 //
 // A Schedule instantiates the layer graph once per micro-batch (each
 // micro-batch carries 1/M of the global batch, so callers price the
@@ -7,7 +8,8 @@
 // dependency edges —
 //
 //   - stage order within a micro-batch: a micro-batch's forward chains
-//     through the layers as in the single-iteration builder, and its
+//     through the layers (forward compute for layers 0..L−1, each wired
+//     to its communication according to the overlap policy), and its
 //     backward chains through them in reverse;
 //   - resource contention across micro-batches: each stage owns one
 //     compute pipe and one set of network lanes (StageResource), so two
@@ -23,10 +25,8 @@
 // backward of micro-batch m−(S−s) retired, capping the activation stash
 // at S−s in-flight micro-batches).
 //
-// With M = 1 and S = 1 the builder reproduces the single-iteration event
-// graph of buildEvents exactly — same events, same order, same
-// dependencies — so SimulatePipeline degenerates to SimulateLayers
-// bit-for-bit (property-tested in schedule_test.go).
+// With M = 1 and S = 1 no pipeline edge fires: the graph is the paper's
+// single bulk-synchronous iteration, every event on stage 0's lanes.
 package timeline
 
 import (
@@ -168,9 +168,8 @@ func (s Schedule) stageOf(i, L int) int {
 
 // SimulatePipeline builds the multi-iteration event graph for the given
 // overlap policy and schedule and runs it. Layer durations are
-// per-micro-batch; negative or NaN durations panic (as in
-// SimulateLayers), an invalid schedule returns an error, and an empty
-// layer list returns a zero Result.
+// per-micro-batch; negative or NaN durations panic, an invalid schedule
+// returns an error, and an empty layer list returns a zero Result.
 func SimulatePipeline(layers []Layer, policy Policy, sched Schedule) (*Result, error) {
 	if err := sched.Validate(len(layers)); err != nil {
 		return nil, err
@@ -189,10 +188,15 @@ func SimulatePipeline(layers []Layer, policy Policy, sched Schedule) (*Result, e
 	return summarize(layers, policy, spans, sched.MicroBatches, sched.Stages), nil
 }
 
-// buildPipelineEvents lays out M micro-batch passes over the layer graph.
-// It mirrors buildEvents' handle discipline (zero-duration steps forward
-// their dependencies) and its per-micro-batch policy semantics, then adds
-// the pipeline edges described in the package comment above.
+// buildPipelineEvents lays out M micro-batch passes over the layer graph,
+// each with the per-micro-batch policy semantics, plus the pipeline edges
+// described in the comment at the top of this file.
+//
+// Dependencies are passed around as *handles*: a handle is the list of
+// event IDs whose completion stands for the completion of a (possibly
+// zero-duration) step. A zero-duration step emits no event and its handle
+// is simply its own dependency handle, so prerequisites forward
+// transitively through skipped events instead of being dropped.
 func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event {
 	L := len(layers)
 	M := sched.MicroBatches
@@ -270,6 +274,13 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 		}
 		return add(micro, layer, kind, res, dur, deps), true
 	}
+	// comm emits one communication step on the layer's stage lanes: a
+	// single Network event on a flat layer, or a chain of per-level lane
+	// events when the layer carries a per-level split — each level's
+	// phase consumes the previous active level's result (the
+	// hierarchical collective ascends the topology), so level i+1's
+	// event depends on level i's. The returned handle completes when the
+	// whole step does.
 	comm := func(micro, layer int, kind Kind, deps []int) []int {
 		l := layers[layer]
 		st := stage(layer)
@@ -296,9 +307,7 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 	agDone := make([][][]int, M)  // [micro][layer] all-gather handle
 	bwdDone := make([][][]int, M) // [micro][layer] backward-compute handle
 
-	// emitForward lays out micro-batch m's forward pass. Within one
-	// micro-batch the layer chain and policy semantics are exactly
-	// buildEvents'.
+	// emitForward lays out micro-batch m's forward pass.
 	emitForward := func(m int) {
 		fwdDone[m] = make([][]int, L)
 		agDone[m] = make([][]int, L)
@@ -364,8 +373,8 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 			bwd := add(m, i, BwdComp, StageResource(Compute, stage(i)), layers[i].BwdComp, deps)
 			// Backward communication is issued at the start of the layer's
 			// backprop (gradient chunks stream out as they are produced),
-			// as in buildEvents. Under PolicyNone the add() serialization
-			// reinstates strict order.
+			// the per-layer form of the Fig. 8 idealization. Under
+			// PolicyNone the add() serialization reinstates strict order.
 			commDeps := deps
 			if policy == PolicyNone {
 				commDeps = bwd
@@ -394,7 +403,7 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 	// GPipe's backward flush edge needs the last micro-batch's forward
 	// handles (all forwards first), while 1F1B's stash edge needs earlier
 	// micro-batches' backward handles (alternate F_m, B_m). Both orders
-	// reduce to F_0, B_0 at M = 1 — the buildEvents order.
+	// reduce to F_0, B_0 at M = 1 — the single-iteration order.
 	if sched.Shape == OneFOneB {
 		for m := 0; m < M; m++ {
 			emitForward(m)

@@ -4,47 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
-
-// The degenerate schedule (M = 1, S = 1) must reproduce the
-// single-iteration simulation bit for bit — same spans, same order, same
-// floats, same dependencies — across policies, shapes, and random nets
-// (flat and with per-level splits).
-func TestPipelineSingleMatchesSimulateLayers(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(12)
-		split := trial%3 == 0
-		layers := randomLayers(rng, n, split)
-		for _, pol := range []Policy{PolicyNone, PolicyBackprop, PolicyFull} {
-			for _, shape := range []Shape{GPipe, OneFOneB} {
-				want, err := SimulateLayers(layers, pol)
-				if err != nil {
-					t.Fatalf("trial %d: SimulateLayers: %v", trial, err)
-				}
-				got, err := SimulatePipeline(layers, pol, Schedule{Shape: shape, MicroBatches: 1, Stages: 1})
-				if err != nil {
-					t.Fatalf("trial %d: SimulatePipeline: %v", trial, err)
-				}
-				if !reflect.DeepEqual(want.Spans, got.Spans) {
-					t.Fatalf("trial %d policy %v shape %v: pipeline spans diverge from single-iteration spans\nwant %+v\ngot  %+v",
-						trial, pol, shape, want.Spans, got.Spans)
-				}
-				if got.Makespan != want.Makespan {
-					t.Fatalf("trial %d policy %v shape %v: makespan %g != %g",
-						trial, pol, shape, got.Makespan, want.Makespan)
-				}
-				if got.ExposedCommSeconds != want.ExposedCommSeconds || got.DrainSeconds != want.DrainSeconds {
-					t.Fatalf("trial %d policy %v shape %v: exposure/drain diverge", trial, pol, shape)
-				}
-			}
-		}
-	}
-}
 
 // uniformStages builds S identical compute-only layers, one per stage.
 func uniformStages(S int, fwd, bwd float64) []Layer {
@@ -238,7 +201,7 @@ func TestPipelineHidesForwardCommunication(t *testing.T) {
 		{Name: "b", FwdComp: 1e-3, BwdComp: 2e-3, AllGather: 4e-3},
 		{Name: "c", FwdComp: 1e-3, BwdComp: 2e-3},
 	}
-	single, err := SimulateLayers(layers, PolicyBackprop)
+	single, err := SimulatePipeline(layers, PolicyBackprop, Single())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestHeapSchedulerMatchesReference(t *testing.T) {
 		split := trial%3 == 0
 		layers := randomLayers(rng, n, split)
 		for _, pol := range []Policy{PolicyNone, PolicyBackprop, PolicyFull} {
-			events := buildEvents(layers, pol)
+			events := buildPipelineEvents(layers, pol, Single())
 			got, err := Simulate(events)
 			if err != nil {
 				t.Fatalf("Simulate: %v", err)
@@ -140,7 +140,7 @@ func TestReferenceSchedulerGolden(t *testing.T) {
 		{Name: "l1", FwdComp: 1, AllGather: 2, BwdComp: 10},
 		{Name: "l2", FwdComp: 1, AllGather: 2, BwdComp: 10},
 	}
-	spans, err := simulateReference(buildEvents(layers, PolicyBackprop))
+	spans, err := simulateReference(buildPipelineEvents(layers, PolicyBackprop, Single()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSimulateRejectsBadGraphs(t *testing.T) {
 func BenchmarkSimulate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	layers := randomLayers(rng, 2000, false)
-	events := buildEvents(layers, PolicyBackprop)
+	events := buildPipelineEvents(layers, PolicyBackprop, Single())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(events); err != nil {
@@ -191,7 +191,7 @@ func BenchmarkSimulate(b *testing.B) {
 func BenchmarkSimulateSplit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	layers := randomLayers(rng, 2000, true)
-	events := buildEvents(layers, PolicyBackprop)
+	events := buildPipelineEvents(layers, PolicyBackprop, Single())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(events); err != nil {
