@@ -110,7 +110,7 @@ type Breakdown struct {
 func (e Env) newBreakdown(desc string, nlayers int) *Breakdown {
 	b := &Breakdown{Desc: desc, Layers: make([]LayerCost, 0, nlayers)}
 	if !e.Flat() {
-		b.LevelNames = e.Topo.LevelNames()
+		b.LevelNames = e.levelNames()
 	}
 	return b
 }

@@ -3,11 +3,15 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"dnnparallel/internal/compute"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
+	"dnnparallel/internal/timeline"
 )
 
 // Regression for the dead firstModel flag removed from FullIntegrated:
@@ -185,5 +189,77 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 	if colPacked.TotalSeconds() >= flatBD.TotalSeconds() {
 		t.Fatalf("packing the heavy groups on-node (%g) must beat the flat Aries-only model (%g)",
 			colPacked.TotalSeconds(), flatBD.TotalSeconds())
+	}
+}
+
+// Binding a grid changes only how often its spans are classified, never
+// a price: on aligned and misaligned two- and three-level hierarchies,
+// every grid, placement and assignment prices bit-identically bound and
+// unbound — the breakdown, the Eq. 6 redistribution, the ∆W floor, and
+// multi-stage iterations whose later stages reuse the bound pricer or
+// an earlier stage's.
+func TestBindPricesIdentically(t *testing.T) {
+	net := nn.AlexNet()
+	cm := compute.KNLCaffe()
+	widx := net.WeightedLayers()
+	link := func(alpha, gbs float64) machine.Link {
+		return machine.Link{Alpha: alpha, Beta: machine.WordBytes / (gbs * 1e9)}
+	}
+	topos := []machine.Topology{
+		machine.CoriKNLNodes(16),
+		machine.CoriKNLNodes(6),
+		{Name: "6-24", PeakFlops: knl().PeakFlops, Levels: []machine.Level{
+			{Name: "node", Link: link(5e-7, 60), GroupSize: 6},
+			{Name: "rack", Link: link(1e-6, 12), GroupSize: 24},
+			{Name: "spine", Link: link(2e-6, 6)},
+		}},
+	}
+	assigns := []Assignment{nil, ConvAssignment(net, Domain, Model), ConvAssignment(net, BatchOnly, Model)}
+	for _, topo := range topos {
+		for _, g := range grid.Factorizations(20) {
+			for _, pl := range grid.Placements() {
+				env := Env{Topo: topo, Placement: pl}
+				bound := env.Bind(g)
+				for _, a := range assigns {
+					if got, want := bound.FullIntegrated(net, 1440, g, a), env.FullIntegrated(net, 1440, g, a); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %v %v: bound FullIntegrated differs", topo.Name, g, pl)
+					}
+					if got, want := bound.RedistributionSeconds(net, 1440, g, a), env.RedistributionSeconds(net, 1440, g, a); got != want {
+						t.Fatalf("%s %v %v: bound redistribution %g, unbound %g", topo.Name, g, pl, got, want)
+					}
+					for _, S := range []int{2, 4} {
+						grids := make([]grid.Grid, S)
+						for k := range grids {
+							grids[k] = g
+						}
+						part := stage.Balanced(len(widx), S)
+						sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4, Stages: S}
+						got, err := bound.StageIteration(net, 1440, part, grids, a, cm, timeline.PolicyBackprop, sched)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := env.StageIteration(net, 1440, part, grids, a, cm, timeline.PolicyBackprop, sched)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s %v %v S=%d: bound StageIteration differs", topo.Name, g, pl, S)
+						}
+					}
+				}
+				if got, want := bound.FCGradReduceSeconds(net, g), env.FCGradReduceSeconds(net, g); got != want {
+					t.Fatalf("%s %v %v: bound ∆W floor %g, unbound %g", topo.Name, g, pl, got, want)
+				}
+				// Whenever the bound pricer or an earlier stage's serves an
+				// offset, it classifies exactly as a fresh build there.
+				built := []*pricer{env.pricerAt(g, 7)}
+				for offset := 0; offset < 3*g.P(); offset++ {
+					got, want := bound.pricerAt(g, offset, built...), env.pricerAt(g, offset)
+					if !reflect.DeepEqual([]any{got.col, got.row, got.all, got.haloLevel}, []any{want.col, want.row, want.all, want.haloLevel}) {
+						t.Fatalf("%s %v %v offset %d: reused pricer classifies differently from a fresh one", topo.Name, g, pl, offset)
+					}
+				}
+			}
+		}
 	}
 }

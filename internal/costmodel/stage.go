@@ -174,10 +174,14 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	b := e.newBreakdown(desc, len(widx))
 	times := make([]compute.LayerTime, 0, len(widx))
 	stages := make([]StageCost, S)
+	// Stages whose blocks start a whole span period apart share a pricer.
+	var prBuf [8]*pricer
+	prs := prBuf[:0]
 	for k := 0; k < S; k++ {
 		lo, hi := part.Bounds(k)
 		g := grids[k]
-		pr := e.pricerAt(g, offsets[k])
+		pr := e.pricerAt(g, offsets[k], prs...)
+		prs = append(prs, pr)
 		sc := &stages[k]
 		sc.Stage = k
 		sc.FirstLayer = widx[lo]
@@ -252,7 +256,7 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	if len(tl) != len(widx) {
 		panic(fmt.Sprintf("costmodel: %d timeline layers for %d weighted layers", len(tl), len(widx)))
 	}
-	levelNames := e.Topo.LevelNames()
+	levelNames := b.LevelNames
 	for k := 1; k < S; k++ {
 		lo := part.Starts[k]
 		li := widx[lo]

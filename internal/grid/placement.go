@@ -2,7 +2,7 @@ package grid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -220,14 +220,196 @@ func compareSpans(a, b LevelSpan) int {
 // dedupeSpans sorts and deduplicates spans so callers price each distinct
 // group shape once.
 func dedupeSpans(spans []LevelSpan) []LevelSpan {
-	sort.Slice(spans, func(i, j int) bool { return compareSpans(spans[i], spans[j]) < 0 })
-	out := spans[:0]
-	for i, s := range spans {
-		if i == 0 || compareSpans(s, out[len(out)-1]) != 0 {
-			out = append(out, s)
+	slices.SortFunc(spans, compareSpans)
+	return slices.CompactFunc(spans, func(a, b LevelSpan) bool { return compareSpans(a, b) == 0 })
+}
+
+// SpanPeriod returns the rank shift under which every level span of a
+// nested hierarchy repeats: the outermost bounded group size (1 when no
+// level is bounded). Moving a group by a multiple of it moves every rank
+// by a whole number of units at every level, so Groups, MaxRanks, Fanout
+// and Planes stay the same.
+func SpanPeriod(sizes []int) int {
+	for i := len(sizes) - 1; i >= 0; i-- {
+		if sizes[i] > 0 {
+			return sizes[i]
 		}
 	}
-	return out
+	return 1
+}
+
+// checkNested panics unless sizes is a nested hierarchy — at least one
+// level, every non-outermost size ≥ 1 and dividing the next bounded size
+// — and the rank offset is non-negative: the invariants the arithmetic
+// classification below relies on. machine.Topology.Validate guarantees
+// the first two for every topology; SpanOf, the general classifier,
+// needs neither.
+func checkNested(fn string, sizes []int, offset int) {
+	if len(sizes) == 0 {
+		panic(fmt.Sprintf("grid: %s needs at least one level size", fn))
+	}
+	for i, size := range sizes[:len(sizes)-1] {
+		if size < 1 {
+			panic(fmt.Sprintf("grid: %s level %d needs a group size ≥ 1, got %d", fn, i, size))
+		}
+		if next := sizes[i+1]; next > 0 && next%size != 0 {
+			panic(fmt.Sprintf("grid: %s level %d group size %d does not divide level %d's %d",
+				fn, i, size, i+1, next))
+		}
+	}
+	if offset < 0 {
+		panic(fmt.Sprintf("grid: %s needs a rank offset ≥ 0, got %d", fn, offset))
+	}
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// progression is one collective group's machine ranks under a placement:
+// start, start+stride, …, start+(n−1)·stride with stride ≥ 1. Row-major
+// row groups and col-major column groups are contiguous (stride 1); the
+// other family is strided by Pc or Pr.
+type progression struct{ start, stride, n int }
+
+// unitsTouched counts the distinct size-`size` units holding terms
+// lo … hi of the progression. A stride of at least the size puts each
+// term in a unit of its own; a shorter one skips no unit between the
+// first term and the last.
+func (q progression) unitsTouched(lo, hi, size int) int {
+	if q.stride >= size {
+		return hi - lo + 1
+	}
+	return (q.start+hi*q.stride)/size - (q.start+lo*q.stride)/size + 1
+}
+
+// visit folds unit u's rank count and sub-unit count (units of size sub)
+// into st.
+func (q progression) visit(st *LevelStat, u, size, sub int) {
+	lo, hi := 0, q.n-1
+	if d := u*size - q.start; d > 0 {
+		lo = (d + q.stride - 1) / q.stride
+	}
+	if h := (u*size + size - 1 - q.start) / q.stride; h < hi {
+		hi = h
+	}
+	st.MaxRanks = max(st.MaxRanks, hi-lo+1)
+	st.Fanout = max(st.Fanout, q.unitsTouched(lo, hi, sub))
+}
+
+// levelStat returns the progression's Groups, MaxRanks and Fanout at one
+// level of size-`size` units whose sub-units have size sub (1, the ranks
+// themselves, at the innermost level); a size ≤ 0 is one unbounded unit.
+// The ranks ascend, so the unit and sub-unit indices never decrease and
+// no set is needed.
+func (q progression) levelStat(size, sub int) LevelStat {
+	if size <= 0 {
+		return LevelStat{Groups: 1, MaxRanks: q.n, Fanout: q.unitsTouched(0, q.n-1, sub)}
+	}
+	if q.stride >= size {
+		return LevelStat{Groups: q.n, MaxRanks: 1, Fanout: 1}
+	}
+	first, last := q.start/size, (q.start+(q.n-1)*q.stride)/size
+	st := LevelStat{Groups: last - first + 1}
+	// Only the two end units can be partly covered. An interior unit u
+	// holds ranks at offsets p, p+stride, … from its start, where
+	// p = (start − u·size) mod stride repeats every stride/gcd(size,
+	// stride) units (sub divides size, so its boundaries sit at the same
+	// offsets in every unit): one period of interior units shows every
+	// interior shape.
+	q.visit(&st, first, size, sub)
+	period := q.stride / gcd(size, q.stride)
+	for u := first + 1; u < last && u <= first+period; u++ {
+		q.visit(&st, u, size, sub)
+	}
+	if last > first {
+		q.visit(&st, last, size, sub)
+	}
+	return st
+}
+
+// classify fills levels, one LevelStat per size, with the progression's
+// level span: what SpanOf returns for its explicit rank list.
+func (q progression) classify(sizes []int, levels []LevelStat) {
+	sub, planes := 1, 1
+	for i, size := range sizes {
+		st := q.levelStat(size, sub)
+		st.Planes = planes
+		levels[i] = st
+		sub, planes = size, st.MaxRanks
+	}
+}
+
+// groupFamily is one kind of collective group of a grid under a
+// placement: group k (0 ≤ k < count) is the progression first shifted
+// by k·step ranks.
+type groupFamily struct {
+	first       progression
+	step, count int
+}
+
+// colFamily returns the Pc column groups: rank offset + r·Pc + c
+// (row-major) or offset + c·Pr + r (col-major) for r = 0 … Pr−1.
+func (g Grid) colFamily(pl Placement, offset int) groupFamily {
+	if pl == ColMajor {
+		return groupFamily{progression{offset, 1, g.Pr}, g.Pr, g.Pc}
+	}
+	return groupFamily{progression{offset, g.Pc, g.Pr}, 1, g.Pc}
+}
+
+// rowFamily returns the Pr row groups (see colFamily).
+func (g Grid) rowFamily(pl Placement, offset int) groupFamily {
+	if pl == ColMajor {
+		return groupFamily{progression{offset, g.Pr, g.Pc}, 1, g.Pr}
+	}
+	return groupFamily{progression{offset, 1, g.Pc}, g.Pc, g.Pr}
+}
+
+// spans returns the family's distinct level spans. Groups k and
+// k + SpanPeriod/gcd(step, SpanPeriod) start a whole period apart and
+// share a span, so only the first min(count, that many) groups are
+// classified: O(min(count, period) × levels) work and, while the family
+// has at most len(scratch)/levels distinct shapes, two allocations
+// however large P is.
+func (f groupFamily) spans(sizes []int) []LevelSpan {
+	period := SpanPeriod(sizes)
+	n, nl := min(f.count, period/gcd(f.step, period)), len(sizes)
+	// shapes holds the distinct spans found so far, nl stats each; the
+	// group being classified lands in the slot after them.
+	var scratch [96]LevelStat
+	shapes := scratch[:0]
+	for k := 0; k < n; k++ {
+		if len(shapes)+nl > cap(shapes) {
+			shapes = append(make([]LevelStat, 0, 2*cap(shapes)+nl), shapes...)
+		}
+		cur := shapes[len(shapes) : len(shapes)+nl]
+		q := f.first
+		q.start += k * f.step
+		q.classify(sizes, cur)
+		if !hasShape(shapes, cur) {
+			shapes = shapes[:len(shapes)+nl]
+		}
+	}
+	spans := make([]LevelSpan, len(shapes)/nl)
+	levels := slices.Clone(shapes)
+	for i := range spans {
+		spans[i] = LevelSpan{Ranks: f.first.n, Levels: levels[i*nl : (i+1)*nl : (i+1)*nl]}
+	}
+	return dedupeSpans(spans)
+}
+
+// hasShape reports whether shape (one span's per-level stats) is among
+// the consecutive len(shape)-stat shapes of shapes.
+func hasShape(shapes, shape []LevelStat) bool {
+	for i := 0; i < len(shapes); i += len(shape) {
+		if slices.Equal(shapes[i:i+len(shape)], shape) {
+			return true
+		}
+	}
+	return false
 }
 
 // ColGroupSpansAt returns the distinct level spans of the Pc column
@@ -240,16 +422,13 @@ func dedupeSpans(spans []LevelSpan) []LevelSpan {
 // offset can move a group across node or rack boundaries, so the spans
 // (and hence the Eq. 3–9 prices) genuinely depend on where the block
 // starts.
+//
+// sizes must be nested (each non-outermost size ≥ 1 and dividing the
+// next bounded one) and offset ≥ 0; anything else panics. The spans are
+// in compareSpans order, each equal to SpanOf over the group's ranks.
 func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	spans := make([]LevelSpan, 0, g.Pc)
-	ranks := make([]int, g.Pr)
-	for c := 0; c < g.Pc; c++ {
-		for r := 0; r < g.Pr; r++ {
-			ranks[r] = offset + g.MachineRank(r, c, pl)
-		}
-		spans = append(spans, SpanOf(ranks, sizes))
-	}
-	return dedupeSpans(spans)
+	checkNested("ColGroupSpansAt", sizes, offset)
+	return g.colFamily(pl, offset).spans(sizes)
 }
 
 // RowGroupSpansAt returns the distinct level spans of the Pr row groups
@@ -257,27 +436,22 @@ func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan
 // grid whose rank block starts at machine rank `offset` (see
 // ColGroupSpansAt).
 func (g Grid) RowGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	spans := make([]LevelSpan, 0, g.Pr)
-	ranks := make([]int, g.Pc)
-	for r := 0; r < g.Pr; r++ {
-		for c := 0; c < g.Pc; c++ {
-			ranks[c] = offset + g.MachineRank(r, c, pl)
-		}
-		spans = append(spans, SpanOf(ranks, sizes))
-	}
-	return dedupeSpans(spans)
+	checkNested("RowGroupSpansAt", sizes, offset)
+	return g.rowFamily(pl, offset).spans(sizes)
 }
 
 // AllSpanAt returns the level span of the grid's whole rank block —
 // machine ranks offset … offset+P−1 — used by the full-P collectives
 // (pure batch / domain gradient all-reduces). It is
 // placement-independent: every placement is a bijection onto the block.
+// The block is contiguous, so each level costs at most three unit
+// visits.
 func (g Grid) AllSpanAt(sizes []int, offset int) LevelSpan {
-	ranks := make([]int, g.P())
-	for i := range ranks {
-		ranks[i] = offset + i
-	}
-	return SpanOf(ranks, sizes)
+	checkNested("AllSpanAt", sizes, offset)
+	q := progression{offset, 1, g.P()}
+	s := LevelSpan{Ranks: q.n, Levels: make([]LevelStat, len(sizes))}
+	q.classify(sizes, s.Levels)
+	return s
 }
 
 // ColNeighborsLevelAt returns the innermost level whose groups contain
@@ -288,22 +462,23 @@ func (g Grid) AllSpanAt(sizes []int, offset int) LevelSpan {
 // so a single boundary-crossing pair lifts the whole exchange to the
 // level (and link) of that crossing.
 func (g Grid) ColNeighborsLevelAt(sizes []int, pl Placement, offset int) int {
-	if len(sizes) == 0 {
-		panic("grid: ColNeighborsLevelAt needs at least one level size")
-	}
+	checkNested("ColNeighborsLevelAt", sizes, offset)
+	return NeighborsLevel(g.colFamily(pl, offset).spans(sizes))
+}
+
+// NeighborsLevel returns the innermost level whose groups contain every
+// pair of consecutive ranks of every group with one of the given spans,
+// capped at the outermost level. On a nested hierarchy consecutive ranks
+// all share a level-i group exactly when the whole group sits in one, so
+// a span's level is the first whose Groups is 1.
+func NeighborsLevel(spans []LevelSpan) int {
 	level := 0
-	for c := 0; c < g.Pc; c++ {
-		for r := 0; r+1 < g.Pr; r++ {
-			a := offset + g.MachineRank(r, c, pl)
-			b := offset + g.MachineRank(r+1, c, pl)
-			l := 0
-			for l < len(sizes)-1 && levelUnit(a, sizes[l]) != levelUnit(b, sizes[l]) {
-				l++
-			}
-			if l > level {
-				level = l
-			}
+	for _, s := range spans {
+		l := 0
+		for l < len(s.Levels)-1 && s.Levels[l].Groups > 1 {
+			l++
 		}
+		level = max(level, l)
 	}
 	return level
 }

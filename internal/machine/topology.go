@@ -166,7 +166,7 @@ func (t Topology) GroupOf(rank, level int) int {
 }
 
 // GroupSizes returns the per-level group sizes, innermost first — the
-// classification input of grid.LevelSpanOf.
+// classification input of grid.SpanOf and the grid *SpanAt functions.
 func (t Topology) GroupSizes() []int {
 	sizes := make([]int, len(t.Levels))
 	for i, lv := range t.Levels {

@@ -470,9 +470,9 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 // strategy whose collective groups pack onto nodes gets cheaper.
 //
 // A layer's Eq. 9 cost depends only on its own strategy, so three
-// uniform-assignment breakdowns price every (layer, strategy) pair with
-// three placement classifications total, instead of re-running the
-// O(P) classification per layer.
+// uniform-assignment breakdowns price every (layer, strategy) pair; with
+// env bound to g (costmodel.Env.Bind) they share one placement
+// classification.
 func autoAssignment(net *nn.Network, B int, g grid.Grid, env costmodel.Env) costmodel.Assignment {
 	var perStrategy [3]*costmodel.Breakdown
 	perStrategy[costmodel.Model] = env.FullIntegrated(net, B, g, nil) // nil defaults every layer to Model

@@ -256,10 +256,12 @@ func (s *search) enumerate(st *SearchStats) {
 	// The ∆W floor sharpens the bound only where the closed form
 	// serializes communication after compute (no overlap, no timeline),
 	// and only on a uniform topology, where FCGradReduceSeconds is a
-	// closed form. On a hierarchical topology the floor costs a level-span
-	// scan per (grid, placement) — measured at roughly a third of pricing
-	// the candidate outright, for exactly one M=1 leaf each — so the
-	// compute-only bound stands alone there.
+	// closed form. On a hierarchical topology the floor builds a pricer
+	// per (grid, placement) — measured at 8–10% of pricing an Auto-mode
+	// AlexNet candidate outright on two levels and 15–19% on three
+	// (P 512–4096), for exactly one M=1 leaf each — and a sharper bound
+	// there would move SearchStats' Bounded counts, so the compute-only
+	// bound stands alone.
 	needFloors := s.bounds && !o.UseTimeline && !o.Overlap && o.topology().Uniform()
 	layerCosts := layerComputeCosts(s.net)
 	type partsMemo struct {
@@ -461,7 +463,9 @@ func (s *search) closedForm(p *Plan, st *SearchStats) {
 	o := s.opts
 	B, g := p.Batch, p.Grid
 	priceStart := time.Now()
-	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
+	// One placement classification serves the Auto-mode assignment, the
+	// breakdown and the Eq. 6 redistribution.
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}.Bind(g)
 	p.Assignment = assignmentFor(s.net, B, g, o.Mode, env)
 	p.MemoryWords = costmodel.Memory(s.net, B, g, p.Assignment).TotalWords()
 	if s.overMemory(p, st, priceStart) {
@@ -489,7 +493,10 @@ func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
 	B, g, S, micro := p.Batch, p.Grid, p.Stages, p.MicroBatch
 	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: micro, Stages: S}
 	priceStart := time.Now()
-	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
+	// One placement classification serves the assignment, every stage
+	// whose block starts a whole span period from offset 0, and the
+	// Eq. 6 redistribution.
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}.Bind(g)
 	// The per-layer strategy is chosen at the micro-batch size the
 	// schedule actually runs: α-heavy small messages can flip a conv
 	// layer's cheapest strategy relative to the full-batch choice.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
@@ -277,5 +278,47 @@ func TestOptimizeRejectsBadTopology(t *testing.T) {
 	opts.Topology.Levels[0].GroupSize = 0
 	if _, err := Optimize(nn.AlexNet(), 256, 16, opts); err == nil {
 		t.Fatal("expected an error for a zero inner group size")
+	}
+}
+
+// Pricing one Auto-mode candidate on a hierarchical topology — three
+// uniform breakdowns for the assignment, the final breakdown and the
+// Eq. 6 redistribution — classifies the candidate's placement once. The
+// same candidate on a uniform topology with the same group sizes takes
+// the flat pricer, so its allocations differ from the hierarchical one's
+// by exactly one span build; rebuilding the spans per call would show as
+// a multiple of it.
+func TestAutoCandidateBuildsSpansOnce(t *testing.T) {
+	net := nn.AlexNet()
+	hier := rackTaper()
+	uni := rackTaper()
+	for i := range uni.Levels {
+		uni.Levels[i].Link = uni.Levels[0].Link
+	}
+	g := grid.Grid{Pr: 16, Pc: 32}
+	candidate := func(topo machine.Topology) float64 {
+		opts := DefaultOptions()
+		opts.Topology = topo
+		opts.AddRedistribution = true
+		s := newSearch(net, 2048, g.P(), opts)
+		return testing.AllocsPerRun(5, func() {
+			var st SearchStats
+			p := Plan{Grid: g, Batch: 2048, Placement: grid.ColMajor, Mode: Auto, MicroBatch: 1, Stages: 1}
+			s.closedForm(&p, &st)
+			if !p.Feasible {
+				t.Fatalf("candidate %v infeasible: %s", g, p.Reason)
+			}
+		})
+	}
+	build := func(topo machine.Topology) float64 {
+		env := costmodel.Env{Topo: topo, Placement: grid.ColMajor}
+		return testing.AllocsPerRun(5, func() { env.Bind(g) })
+	}
+	spans := build(hier) - build(uni)
+	if spans <= 0 {
+		t.Fatalf("a hierarchical span build allocates %v more than a flat pricer; the check needs > 0", spans)
+	}
+	if got := candidate(hier) - candidate(uni); got != spans {
+		t.Fatalf("hierarchical candidate allocates %v more than the uniform one, want one span build (%v)", got, spans)
 	}
 }

@@ -10,9 +10,15 @@
 # biasing the comparison. The engine side also sweeps -cpu 1,2,4 so the
 # worker scaling is recorded per GOMAXPROCS. A second interleaved A/B
 # pits the iteration objective against the time-to-accuracy campaign
-# search on the same scenario (the tta_search_overhead record).
+# search on the same scenario (the tta_search_overhead record). With
+# BENCH_BASE set to a commit, a third interleaved A/B pits that commit's
+# tree against this one on the two- and three-level searches (the
+# level_span_speedup record): both test binaries are built first, the
+# base from a `git archive` of BENCH_BASE in a temporary directory, and
+# their lines go to <output-file>.base and <output-file>.head for
+# `benchstat <output-file>.base <output-file>.head`.
 #
-# Usage: scripts/bench.sh [output-file]   (default: bench.txt)
+# Usage: [BENCH_BASE=<commit>] scripts/bench.sh [output-file]   (default: bench.txt)
 set -e
 cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
@@ -37,4 +43,21 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
+if [ -n "${BENCH_BASE:-}" ]; then
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	git archive "$BENCH_BASE" | tar -x -C "$tmp"
+	(cd "$tmp" && go test -c -o "$tmp/base.test" .)
+	go test -c -o "$tmp/head.test" .
+	: > "$out.base"
+	: > "$out.head"
+	i=1
+	while [ "$i" -le 6 ]; do
+		for side in base head; do
+			"$tmp/$side.test" -test.run '^$' -test.bench 'BenchmarkPlanScenario(TwoLevel|ThreeLevel)$' \
+				-test.benchmem -test.benchtime=2s | tee -a "$out.$side"
+		done
+		i=$((i + 1))
+	done
+fi
 echo "wrote $out"
