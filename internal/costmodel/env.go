@@ -19,7 +19,7 @@ type Env struct {
 	Topo      machine.Topology
 	Placement grid.Placement
 	// bound is the pricer Bind built; pricerAt hands it out for its
-	// grid instead of classifying the placement again.
+	// grid at offset 0 instead of classifying the placement again.
 	bound *pricer
 }
 
@@ -28,34 +28,32 @@ func (e Env) Flat() bool { return e.Topo.Uniform() }
 
 // Bind returns the environment with grid g's collective groups already
 // classified at rank offset 0, so that every FullIntegrated,
-// RedistributionSeconds and FCGradReduceSeconds call on g — and every
-// StageIteration stage on g whose rank block starts a whole
-// grid.SpanPeriod away from offset 0 — reuses one classification
-// instead of building its own. Prices are identical with or without it;
-// the planner binds each candidate once. The classification belongs to
-// the Topo and Placement of the call: bind again after changing them.
+// RedistributionSeconds and FCGradReduceSeconds call on g, and the
+// first StageIteration stage on g, reuse one classification instead of
+// building their own. Prices are identical with or without it; the
+// planner binds each candidate once. The classification belongs to the
+// Topo and Placement of the call: bind again after changing them.
 func (e Env) Bind(g grid.Grid) Env {
 	e.bound = e.pricerAt(g, 0)
+	if !e.bound.flat {
+		e.bound.levelNames = e.Topo.LevelNames()
+	}
 	return e
 }
 
 // pricer caches the level spans of one grid's collective groups at one
-// rank offset so pricing classifies the placement once per candidate,
-// not once per call or per layer.
+// rank offset so pricing classifies the placement once per candidate
+// (Env.Bind) or per call, never per layer.
 type pricer struct {
 	env Env
 	g   grid.Grid
-	// offset is the machine rank of process (0,0); period is the rank
-	// shift (grid.SpanPeriod, 1 on a flat machine) under which the spans
-	// repeat, so the pricer serves every offset ≡ offset (mod period).
-	offset, period int
 	// col, row, and all are the distinct level spans of the column
 	// groups, row groups, and the whole machine; haloLevel is the
 	// innermost topology level containing every halo-exchange pair.
 	col, row, all []grid.LevelSpan
 	haloLevel     int
 	// levelNames labels the topology's levels for every breakdown priced
-	// with the bound pricer (nil on a flat machine).
+	// through the bound pricer (set by Bind, nil on a flat machine).
 	levelNames []string
 	// flat caches Env.Flat() and m the degenerate machine so the search
 	// loop prices uniform topologies with the closed forms directly —
@@ -67,30 +65,19 @@ type pricer struct {
 	spans [3]grid.LevelSpan
 }
 
-// serves reports whether the pricer prices grid g at rank offset.
-func (p *pricer) serves(g grid.Grid, offset int) bool {
-	return p.g == g && (offset-p.offset)%p.period == 0
-}
-
 // pricerAt returns a pricer for a grid whose process (0,0) sits at
 // machine rank `offset` — the rank block of one pipeline stage: the
-// bound pricer or one of `built` when it serves (g, offset), a new one
-// otherwise. On a flat machine the offset is irrelevant (every rank is
-// identical); on a hierarchical one it decides how the stage's
-// collective groups straddle node/rack boundaries, so two stages with
-// the same grid can price differently depending on where their blocks
-// start.
-func (e Env) pricerAt(g grid.Grid, offset int, built ...*pricer) *pricer {
-	if e.bound != nil && e.bound.serves(g, offset) {
+// bound pricer for its own grid at offset 0, a new one otherwise. On a
+// flat machine the offset is irrelevant (every rank is identical); on a
+// hierarchical one it decides how the stage's collective groups
+// straddle node/rack boundaries, so two stages with the same grid can
+// price differently depending on where their blocks start.
+func (e Env) pricerAt(g grid.Grid, offset int) *pricer {
+	if e.bound != nil && e.bound.g == g && offset == 0 {
 		return e.bound
 	}
-	for _, p := range built {
-		if p.serves(g, offset) {
-			return p
-		}
-	}
 	e.bound = nil // the new pricer's own env holds no other pricer
-	p := &pricer{env: e, g: g, offset: offset, period: 1}
+	p := &pricer{env: e, g: g}
 	if e.Flat() {
 		// The uniform fast path in internal/collective reads only the
 		// group size; skip the placement classification.
@@ -103,13 +90,11 @@ func (e Env) pricerAt(g grid.Grid, offset int, built ...*pricer) *pricer {
 		return p
 	}
 	sizes := e.Topo.GroupSizes()
-	p.period = grid.SpanPeriod(sizes)
 	p.col = g.ColGroupSpansAt(sizes, e.Placement, offset)
 	p.row = g.RowGroupSpansAt(sizes, e.Placement, offset)
 	p.spans[2] = g.AllSpanAt(sizes, offset)
 	p.all = p.spans[2:3:3]
 	p.haloLevel = grid.NeighborsLevel(p.col)
-	p.levelNames = e.Topo.LevelNames()
 	return p
 }
 

@@ -196,8 +196,7 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 // a price: on aligned and misaligned two- and three-level hierarchies,
 // every grid, placement and assignment prices bit-identically bound and
 // unbound — the breakdown, the Eq. 6 redistribution, the ∆W floor, and
-// multi-stage iterations whose later stages reuse the bound pricer or
-// an earlier stage's.
+// multi-stage iterations whose first stage reuses the bound pricer.
 func TestBindPricesIdentically(t *testing.T) {
 	net := nn.AlexNet()
 	cm := compute.KNLCaffe()
@@ -250,14 +249,14 @@ func TestBindPricesIdentically(t *testing.T) {
 				if got, want := bound.FCGradReduceSeconds(net, g), env.FCGradReduceSeconds(net, g); got != want {
 					t.Fatalf("%s %v %v: bound ∆W floor %g, unbound %g", topo.Name, g, pl, got, want)
 				}
-				// Whenever the bound pricer or an earlier stage's serves an
-				// offset, it classifies exactly as a fresh build there.
-				built := []*pricer{env.pricerAt(g, 7)}
-				for offset := 0; offset < 3*g.P(); offset++ {
-					got, want := bound.pricerAt(g, offset, built...), env.pricerAt(g, offset)
-					if !reflect.DeepEqual([]any{got.col, got.row, got.all, got.haloLevel}, []any{want.col, want.row, want.all, want.haloLevel}) {
-						t.Fatalf("%s %v %v offset %d: reused pricer classifies differently from a fresh one", topo.Name, g, pl, offset)
-					}
+				// The bound pricer serves g at offset 0 only and
+				// classifies exactly as a fresh build there.
+				if got, want := bound.pricerAt(g, 0), env.pricerAt(g, 0); got != bound.bound ||
+					!reflect.DeepEqual([]any{got.col, got.row, got.all, got.haloLevel}, []any{want.col, want.row, want.all, want.haloLevel}) {
+					t.Fatalf("%s %v %v: bound pricer not reused at offset 0, or classifies differently", topo.Name, g, pl)
+				}
+				if bound.pricerAt(g, 1) == bound.bound {
+					t.Fatalf("%s %v %v: bound pricer reused at offset 1", topo.Name, g, pl)
 				}
 			}
 		}

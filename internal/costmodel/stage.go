@@ -174,14 +174,10 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	b := e.newBreakdown(desc, len(widx))
 	times := make([]compute.LayerTime, 0, len(widx))
 	stages := make([]StageCost, S)
-	// Stages whose blocks start a whole span period apart share a pricer.
-	var prBuf [8]*pricer
-	prs := prBuf[:0]
 	for k := 0; k < S; k++ {
 		lo, hi := part.Bounds(k)
 		g := grids[k]
-		pr := e.pricerAt(g, offsets[k], prs...)
-		prs = append(prs, pr)
+		pr := e.pricerAt(g, offsets[k])
 		sc := &stages[k]
 		sc.Stage = k
 		sc.FirstLayer = widx[lo]

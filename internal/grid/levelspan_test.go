@@ -126,7 +126,7 @@ func TestLevelSpansMatchOracle(t *testing.T) {
 		}
 		sizes := nestedSizes(b, rng.Intn(4) == 0)
 		g := Grid{Pr: 1 + rng.Intn(24), Pc: 1 + rng.Intn(24)}
-		offset := rng.Intn(3 * (SpanPeriod(sizes) + g.P()))
+		offset := rng.Intn(3 * (spanPeriod(sizes) + g.P()))
 		for _, pl := range Placements() {
 			checkOracle(t, g, sizes, pl, offset)
 		}

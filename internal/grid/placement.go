@@ -224,12 +224,12 @@ func dedupeSpans(spans []LevelSpan) []LevelSpan {
 	return slices.CompactFunc(spans, func(a, b LevelSpan) bool { return compareSpans(a, b) == 0 })
 }
 
-// SpanPeriod returns the rank shift under which every level span of a
+// spanPeriod returns the rank shift under which every level span of a
 // nested hierarchy repeats: the outermost bounded group size (1 when no
 // level is bounded). Moving a group by a multiple of it moves every rank
 // by a whole number of units at every level, so Groups, MaxRanks, Fanout
 // and Planes stay the same.
-func SpanPeriod(sizes []int) int {
+func spanPeriod(sizes []int) int {
 	for i := len(sizes) - 1; i >= 0; i-- {
 		if sizes[i] > 0 {
 			return sizes[i]
@@ -369,13 +369,13 @@ func (g Grid) rowFamily(pl Placement, offset int) groupFamily {
 }
 
 // spans returns the family's distinct level spans. Groups k and
-// k + SpanPeriod/gcd(step, SpanPeriod) start a whole period apart and
+// k + spanPeriod/gcd(step, spanPeriod) start a whole period apart and
 // share a span, so only the first min(count, that many) groups are
 // classified: O(min(count, period) × levels) work and, while the family
 // has at most len(scratch)/levels distinct shapes, two allocations
 // however large P is.
 func (f groupFamily) spans(sizes []int) []LevelSpan {
-	period := SpanPeriod(sizes)
+	period := spanPeriod(sizes)
 	n, nl := min(f.count, period/gcd(f.step, period)), len(sizes)
 	// shapes holds the distinct spans found so far, nl stats each; the
 	// group being classified lands in the slot after them.

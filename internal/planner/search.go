@@ -463,13 +463,20 @@ func (s *search) closedForm(p *Plan, st *SearchStats) {
 	o := s.opts
 	B, g := p.Batch, p.Grid
 	priceStart := time.Now()
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
 	// One placement classification serves the Auto-mode assignment, the
-	// breakdown and the Eq. 6 redistribution.
-	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}.Bind(g)
+	// breakdown and the Eq. 6 redistribution; the fixed modes price
+	// nothing before the memory check, so they bind only once it passes.
+	if o.Mode == Auto {
+		env = env.Bind(g)
+	}
 	p.Assignment = assignmentFor(s.net, B, g, o.Mode, env)
 	p.MemoryWords = costmodel.Memory(s.net, B, g, p.Assignment).TotalWords()
 	if s.overMemory(p, st, priceStart) {
 		return
+	}
+	if o.Mode != Auto {
+		env = env.Bind(g)
 	}
 	p.Feasible = true
 	p.Breakdown = env.FullIntegrated(s.net, B, g, p.Assignment)
@@ -493,10 +500,13 @@ func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
 	B, g, S, micro := p.Batch, p.Grid, p.Stages, p.MicroBatch
 	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: micro, Stages: S}
 	priceStart := time.Now()
-	// One placement classification serves the assignment, every stage
-	// whose block starts a whole span period from offset 0, and the
-	// Eq. 6 redistribution.
-	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}.Bind(g)
+	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
+	// One placement classification serves the Auto-mode assignment, the
+	// first stage (offset 0) and the Eq. 6 redistribution; as in
+	// closedForm, the fixed modes bind only after the memory check.
+	if o.Mode == Auto {
+		env = env.Bind(g)
+	}
 	// The per-layer strategy is chosen at the micro-batch size the
 	// schedule actually runs: α-heavy small messages can flip a conv
 	// layer's cheapest strategy relative to the full-batch choice.
@@ -514,6 +524,9 @@ func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
 	}
 	if s.overMemory(p, st, priceStart) {
 		return
+	}
+	if o.Mode != Auto {
+		env = env.Bind(g)
 	}
 	st.Priced++
 	st.PriceSeconds += time.Since(priceStart).Seconds()
