@@ -13,9 +13,10 @@
 # search on the same scenario (the tta_search_overhead record). With
 # BENCH_BASE set to a commit, a third interleaved A/B pits that commit's
 # tree against this one on the two- and three-level searches (the
-# level_span_speedup record): both test binaries are built first, the
-# base from a `git archive` of BENCH_BASE in a temporary directory, and
-# their lines go to <output-file>.base and <output-file>.head for
+# level_span_speedup record, 10 pairs alternating which side runs
+# first): both test binaries are built first, the base from a
+# `git archive` of BENCH_BASE in a temporary directory, and their lines
+# go to <output-file>.base and <output-file>.head for
 # `benchstat <output-file>.base <output-file>.head`.
 #
 # Usage: [BENCH_BASE=<commit>] scripts/bench.sh [output-file]   (default: bench.txt)
@@ -51,9 +52,12 @@ if [ -n "${BENCH_BASE:-}" ]; then
 	go test -c -o "$tmp/head.test" .
 	: > "$out.base"
 	: > "$out.head"
+	# 10 pairs, alternating which side runs first.
 	i=1
-	while [ "$i" -le 6 ]; do
-		for side in base head; do
+	while [ "$i" -le 10 ]; do
+		sides="base head"
+		[ $((i % 2)) -eq 0 ] && sides="head base"
+		for side in $sides; do
 			"$tmp/$side.test" -test.run '^$' -test.bench 'BenchmarkPlanScenario(TwoLevel|ThreeLevel)$' \
 				-test.benchmem -test.benchtime=2s | tee -a "$out.$side"
 		done
