@@ -4,7 +4,11 @@
 // with a per-layer strategy assignment; Eq. 3 (pure model), Eq. 4 (pure
 // batch), Eq. 7 (pure domain) and Eq. 8 (integrated 1.5D model+batch) are
 // its grid and assignment corners, and RedistributionSeconds prices
-// Eq. 6 (redistribution). The package also carries the 2D-SUMMA
+// Eq. 6 (redistribution). Eq. 9 is a sum of per-layer terms, each
+// depending only on its own layer's strategy: one function prices a
+// term, and FullIntegrated, every StageIteration stage and
+// Env.LayerSeconds (one term alone, for per-layer strategy choices) sum
+// or read it. The package also carries the 2D-SUMMA
 // comparison of Section 4 and the communication/computation overlap
 // variant of Fig. 8.
 //
@@ -267,8 +271,9 @@ func batchOnlyLayerCost(net *nn.Network, li int, pr *pricer) LayerCost {
 }
 
 // Assignment maps each weighted layer index (an index into Network.Layers)
-// to its Strategy. Layers absent from the map default to Model, so a nil
-// assignment prices the Eq. 8 scheme (L_M = all layers, L_D = ∅).
+// to its Strategy. Model is the zero Strategy, so layers absent from the
+// map read as Model and a nil assignment prices the Eq. 8 scheme (L_M =
+// all layers, L_D = ∅).
 type Assignment map[int]Strategy
 
 // UniformAssignment returns an Assignment giving strategy s to every
@@ -344,27 +349,38 @@ func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignme
 	b := e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
 	pr := e.pricerAt(g, 0)
 	for _, li := range widx {
-		s := Model
-		if assign != nil {
-			if v, ok := assign[li]; ok {
-				s = v
-			}
-		}
-		switch s {
-		case Model:
-			// Only the network's very first weighted layer skips the ∆X
-			// all-reduce (no gradient propagates past layer 1). A Model
-			// layer that merely comes first *within L_M* — e.g. when the
-			// leading conv layers are Domain — still pays it, because its
-			// ∆X must reach the domain-parallel layer below.
-			b.Layers = append(b.Layers, modelLayerCost(net, li, B, pr, li == widx[0]))
-		case Domain:
-			b.Layers = append(b.Layers, domainLayerCost(net, li, B, pr))
-		case BatchOnly:
-			b.Layers = append(b.Layers, batchOnlyLayerCost(net, li, pr))
-		}
+		b.Layers = append(b.Layers, pr.layer(net, li, B, assign[li], li == widx[0]))
 	}
 	return b
+}
+
+// LayerSeconds returns the Eq. 9 term of weighted layer li under
+// strategy s at batch B on grid g — one summand of FullIntegrated's
+// total, priced alone. Each term depends only on its own layer's
+// strategy, so a per-layer choice needs no whole-network breakdown.
+// Bind the environment to g first when pricing many layers.
+func (e Env) LayerSeconds(net *nn.Network, li, B int, g grid.Grid, s Strategy) float64 {
+	lc := e.pricerAt(g, 0).layer(net, li, B, s, li == net.WeightedLayers()[0])
+	return lc.TotalSeconds()
+}
+
+// layer prices weighted layer li at batch B under strategy s on the
+// pricer's grid — the only switch from a strategy to its Eq. 7/8/Fig. 7
+// terms. first marks the network's very first weighted layer, the only
+// one that skips the ∆X all-reduce (no gradient propagates past layer
+// 1). A Model layer that merely comes first within L_M or within a
+// pipeline stage still pays it: its ∆X must reach the domain-parallel
+// layer below, or ride the backward handoff to the previous stage.
+func (p *pricer) layer(net *nn.Network, li, B int, s Strategy, first bool) LayerCost {
+	switch s {
+	case Model:
+		return modelLayerCost(net, li, B, p, first)
+	case Domain:
+		return domainLayerCost(net, li, B, p)
+	case BatchOnly:
+		return batchOnlyLayerCost(net, li, p)
+	}
+	panic(fmt.Sprintf("costmodel: layer %d has unknown strategy %v", li, s))
 }
 
 // RedistributionSeconds prices the Eq. 6 redistribution at every layer

@@ -52,16 +52,10 @@ func memoryLayers(net *nn.Network, B int, g grid.Grid, assign Assignment, widx [
 	localB := float64(B) / float64(g.Pc)
 	for _, li := range widx {
 		l := &net.Layers[li]
-		s := Model
-		if assign != nil {
-			if v, ok := assign[li]; ok {
-				s = v
-			}
-		}
 		w := float64(l.Weights())
 		din := float64(l.InSize())
 		dout := float64(l.OutSize())
-		switch s {
+		switch assign[li] {
 		case Model:
 			m.WeightWords += w / float64(g.Pr)
 			m.GradientWords += w / float64(g.Pr)

@@ -186,25 +186,7 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 		sc.Grid = g
 		sc.RankOffset = offsets[k]
 		for _, li := range widx[lo:hi] {
-			s := Model
-			if assign != nil {
-				if v, ok := assign[li]; ok {
-					s = v
-				}
-			}
-			var lc LayerCost
-			switch s {
-			case Model:
-				// As in FullIntegrated: only the network's very first
-				// weighted layer skips the ∆X all-reduce. A stage-first
-				// layer still pays it — its assembled ∆X is what the
-				// backward handoff ships to the previous stage.
-				lc = modelLayerCost(net, li, micro, pr, li == widx[0])
-			case Domain:
-				lc = domainLayerCost(net, li, micro, pr)
-			case BatchOnly:
-				lc = batchOnlyLayerCost(net, li, pr)
-			}
+			lc := pr.layer(net, li, micro, assign[li], li == widx[0])
 			b.Layers = append(b.Layers, lc)
 			sc.CommSeconds += lc.TotalSeconds()
 			sc.ParamWords += float64(net.Layers[li].Weights())

@@ -110,7 +110,7 @@ func GanttSpans(res *timeline.Result) []report.GanttSpan {
 	var spans []report.GanttSpan
 	for _, sp := range res.Spans {
 		spans = append(spans, report.GanttSpan{
-			Label: sp.Name,
+			Label: res.SpanLabel(&sp),
 			Lane:  int(sp.Resource),
 			Start: sp.Start,
 			End:   sp.End,

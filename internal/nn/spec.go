@@ -168,6 +168,9 @@ type Network struct {
 	Layers []Layer
 
 	inferred bool
+	// weighted holds the indices WeightedLayers returns, recorded by
+	// Infer.
+	weighted []int
 }
 
 // Infer computes every layer's In/Out shape, validating the stack.
@@ -178,6 +181,7 @@ func (n *Network) Infer() error {
 	if in.Size() <= 0 {
 		return fmt.Errorf("network %s: empty input shape", n.Name)
 	}
+	var weighted []int
 	for i := range n.Layers {
 		l := &n.Layers[i]
 		l.In = in
@@ -187,7 +191,11 @@ func (n *Network) Infer() error {
 		}
 		l.Out = out
 		in = out
+		if l.HasWeights() {
+			weighted = append(weighted, i)
+		}
 	}
+	n.weighted = weighted
 	n.inferred = true
 	return nil
 }
@@ -220,16 +228,11 @@ func (n *Network) TotalWeights() int {
 }
 
 // WeightedLayers returns the indices of layers with weights, in order —
-// the index set of the paper's per-layer sums.
+// the index set of the paper's per-layer sums. The slice is shared by
+// every caller and must not be modified.
 func (n *Network) WeightedLayers() []int {
 	n.mustInferred()
-	var idx []int
-	for i := range n.Layers {
-		if n.Layers[i].HasWeights() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+	return n.weighted
 }
 
 // ConvLayers returns the indices of convolutional layers.

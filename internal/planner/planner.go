@@ -464,40 +464,29 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 }
 
 // autoAssignment chooses, per conv layer, the cheapest strategy available
-// on grid g by evaluating the per-layer Eq. 9 terms directly; FC layers
-// always use Model (domain halos there cost the whole activation panel).
-// On a hierarchical topology the choice is placement-sensitive: a
-// strategy whose collective groups pack onto nodes gets cheaper.
-//
-// A layer's Eq. 9 cost depends only on its own strategy, so three
-// uniform-assignment breakdowns price every (layer, strategy) pair; with
-// env bound to g (costmodel.Env.Bind) they share one placement
-// classification.
+// on grid g by pricing that layer's Eq. 9 term under each eligible
+// strategy (costmodel.Env.LayerSeconds; a layer's term depends only on
+// its own strategy); FC layers always use Model (domain halos there cost
+// the whole activation panel). On a hierarchical topology the choice is
+// placement-sensitive: a strategy whose collective groups pack onto
+// nodes gets cheaper. With env bound to g (costmodel.Env.Bind) every
+// term shares one placement classification.
 func autoAssignment(net *nn.Network, B int, g grid.Grid, env costmodel.Env) costmodel.Assignment {
-	var perStrategy [3]*costmodel.Breakdown
-	perStrategy[costmodel.Model] = env.FullIntegrated(net, B, g, nil) // nil defaults every layer to Model
-	for _, s := range []costmodel.Strategy{costmodel.Domain, costmodel.BatchOnly} {
-		perStrategy[s] = env.FullIntegrated(net, B, g, costmodel.UniformAssignment(net, s))
-	}
 	a := make(costmodel.Assignment)
-	for k, li := range net.WeightedLayers() {
+	for _, li := range net.WeightedLayers() {
 		l := &net.Layers[li]
-		if l.Kind != nn.Conv {
-			a[li] = costmodel.Model
-			continue
-		}
-		cost := func(s costmodel.Strategy) float64 {
-			return perStrategy[s].Layers[k].TotalSeconds()
-		}
-		best, bestCost := costmodel.Model, cost(costmodel.Model)
-		if g.Pr <= l.In.H {
-			if c := cost(costmodel.Domain); c < bestCost {
-				best, bestCost = costmodel.Domain, c
+		best := costmodel.Model
+		if l.Kind == nn.Conv {
+			bestCost := env.LayerSeconds(net, li, B, g, costmodel.Model)
+			if g.Pr <= l.In.H {
+				if c := env.LayerSeconds(net, li, B, g, costmodel.Domain); c < bestCost {
+					best, bestCost = costmodel.Domain, c
+				}
 			}
-		}
-		if g.P() <= B {
-			if c := cost(costmodel.BatchOnly); c < bestCost {
-				best, bestCost = costmodel.BatchOnly, c
+			if g.P() <= B {
+				if c := env.LayerSeconds(net, li, B, g, costmodel.BatchOnly); c < bestCost {
+					best = costmodel.BatchOnly
+				}
 			}
 		}
 		a[li] = best

@@ -32,17 +32,21 @@
 // one, ending on the same winner); Options.DisableBounds switches the
 // pruning off entirely for callers who want every candidate priced.
 //
-// Evaluation: a leaf that passes the structural checks is priced on one
-// of two paths. Timeline-scored leaves — any stage count, any
+// Evaluation: a leaf that passes the structural checks is priced by one
+// function (search.price): the Auto-mode assignment at the micro-batch
+// size, the tightest stage's memory footprint, then the score. Only the
+// score forks. Timeline-scored leaves — any stage count, any
 // micro-batch count — run costmodel.StageIteration (a one-stage
 // partition when S = 1); the rest get the paper's closed-form M = 1
 // scoring (the Figs. 6/7 setting), which no simulation reproduces bit
 // for bit.
 //
-// Memoization: compute.Model.GridLayerTimes and the per-layer compute
-// costs the partition enumeration balances are evaluated once per
-// (grid, batch) during enumeration and shared read-only by the lower
-// bounds of every placement × partition × micro-batch leaf.
+// Memoization: the per-layer compute costs the partition enumeration
+// balances are evaluated once per search. compute.Model.GridLayerTimes
+// (with its prefix sums) per (grid, batch) and the closed form's ∆W
+// floor per (grid, placement) are built on first use by the lower
+// bounds of run()'s serial ordering pass and shared by every placement
+// × partition × micro-batch leaf that reads them.
 package planner
 
 import (
@@ -54,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnnparallel/internal/compute"
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
@@ -83,13 +86,12 @@ const boundSlack = 1 - 1e-9
 // timesKey identifies one memoized per-layer compute split.
 type timesKey struct{ pr, pc, b int }
 
-// gridTimes is one memoized compute.Model.GridLayerTimes result plus the
-// derived aggregates the lower bounds read: prefix sums of the per-layer
+// gridTimes holds the aggregates of one compute.Model.GridLayerTimes
+// result that the lower bounds read: prefix sums of the per-layer
 // fwd+bwd seconds (prefix[k] covers weighted layers [0, k)), the
 // direction-split prefixes the staged pipeline chain bound needs, their
 // total, and the residual overhead.
 type gridTimes struct {
-	times    []compute.LayerTime
 	overhead float64
 	total    float64
 	prefix   []float64
@@ -97,22 +99,16 @@ type gridTimes struct {
 	bwdPre   []float64
 }
 
-// computeCache memoizes GridLayerTimes for the lower bounds of the
-// candidates that share (grid, batch). The map is written only during
-// the serial enumeration phase and read concurrently by the worker pool.
-type computeCache struct {
-	cm  compute.Model
-	net *nn.Network
-	m   map[timesKey]*gridTimes
-}
-
-func newComputeCache(cm compute.Model, net *nn.Network) *computeCache {
-	return &computeCache{cm: cm, net: net, m: make(map[timesKey]*gridTimes)}
-}
-
-func (c *computeCache) build(g grid.Grid, b int) *gridTimes {
-	times, ov := c.cm.GridLayerTimes(c.net, b, g)
-	gt := &gridTimes{times: times, overhead: ov,
+// timesFor returns the memoized compute split of grid g at batch b,
+// building it on first use. Only run()'s serial ordering pass calls it
+// (through lowerBound), so the memo needs no locking.
+func (s *search) timesFor(g grid.Grid, b int) *gridTimes {
+	k := timesKey{g.Pr, g.Pc, b}
+	if gt, ok := s.times[k]; ok {
+		return gt
+	}
+	times, ov := s.opts.Compute.GridLayerTimes(s.net, b, g)
+	gt := &gridTimes{overhead: ov,
 		prefix: make([]float64, len(times)+1),
 		fwdPre: make([]float64, len(times)+1),
 		bwdPre: make([]float64, len(times)+1)}
@@ -122,26 +118,8 @@ func (c *computeCache) build(g grid.Grid, b int) *gridTimes {
 		gt.bwdPre[i+1] = gt.bwdPre[i] + t.Bwd
 	}
 	gt.total = gt.prefix[len(times)]
+	s.times[k] = gt
 	return gt
-}
-
-// fill populates the entry for (g, b); enumeration-phase only.
-func (c *computeCache) fill(g grid.Grid, b int) {
-	k := timesKey{g.Pr, g.Pc, b}
-	if _, ok := c.m[k]; !ok {
-		c.m[k] = c.build(g, b)
-	}
-}
-
-// peek returns the entry for (g, b), computing a fresh one — without
-// storing it, so concurrent readers never see a write — on a miss.
-// Cached and fresh entries are bit-identical (GridLayerTimes is pure),
-// so a miss can never change a result, only waste the memoization.
-func (c *computeCache) peek(g grid.Grid, b int) *gridTimes {
-	if gt, ok := c.m[timesKey{g.Pr, g.Pc, b}]; ok {
-		return gt
-	}
-	return c.build(g, b)
 }
 
 // floorKey identifies one memoized ∆W communication floor.
@@ -191,7 +169,9 @@ type search struct {
 	pin    *grid.Grid
 	opts   Options
 	bounds bool
-	cc     *computeCache
+	// times and floors memoize the lower bounds' compute splits per
+	// (grid, batch) and ∆W floors per (grid, placement).
+	times  map[timesKey]*gridTimes
 	floors map[floorKey]float64
 	// batches is the batch search space (Options.batchSizes(B)); steps
 	// memoizes Curve.Steps per batch size under the TimeToAccuracy
@@ -216,7 +196,7 @@ func newSearch(net *nn.Network, B, P int, opts Options) *search {
 		P:       P,
 		opts:    opts,
 		bounds:  !opts.DisableBounds,
-		cc:      newComputeCache(opts.Compute, net),
+		times:   make(map[timesKey]*gridTimes),
 		floors:  make(map[floorKey]float64),
 		batches: opts.batchSizes(B),
 	}
@@ -241,9 +221,8 @@ func (s *search) objectiveScale(B int) float64 {
 
 // enumerate builds the slot and leaf lists in the serial search order —
 // batch sizes, then stage counts, then grid factorizations (or the
-// pinned grid), then placements × partitions × micro-batches —
-// pre-filling the compute memo and the ∆W floors the lower bounds read,
-// and counting the enumeration-side telemetry (batches, grids, stage
+// pinned grid), then placements × partitions × micro-batches — and
+// counts the enumeration-side telemetry (batches, grids, stage
 // counts, partitions, and the pseudo-slot candidates) into st. The
 // candidate partitions per stage count are batch-independent, so they
 // are enumerated once and shared across the batch sweep (stage counts
@@ -253,16 +232,6 @@ func (s *search) enumerate(st *SearchStats) {
 	counts := o.stageCounts()
 	micros := o.microBatches()
 	pls := o.placements()
-	// The ∆W floor sharpens the bound only where the closed form
-	// serializes communication after compute (no overlap, no timeline),
-	// and only on a uniform topology, where FCGradReduceSeconds is a
-	// closed form. On a hierarchical topology the floor builds a pricer
-	// per (grid, placement) — measured at 8–10% of pricing an Auto-mode
-	// AlexNet candidate outright on two levels and 15–19% on three
-	// (P 512–4096), for exactly one M=1 leaf each — and a sharper bound
-	// there would move SearchStats' Bounded counts, so the compute-only
-	// bound stands alone.
-	needFloors := s.bounds && !o.UseTimeline && !o.Overlap && o.topology().Uniform()
 	layerCosts := layerComputeCosts(s.net)
 	type partsMemo struct {
 		parts []stage.Partition
@@ -319,17 +288,11 @@ func (s *search) enumerate(st *SearchStats) {
 				sl := slot{B: B, S: S, g: g, pure: S == 1 && B == s.B && g.IsPureBatch(), start: len(s.leaves),
 					placements: len(gp), micros: len(micros)}
 				for _, pl := range gp {
-					if needFloors && S == 1 {
-						s.fillFloor(g, pl)
-					}
 					for _, part := range pm.parts {
 						for _, m := range micros {
 							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m, pure: sl.pure})
 						}
 					}
-				}
-				if s.bounds {
-					s.prefillTimes(B, g, micros)
 				}
 				sl.n = len(s.leaves) - sl.start
 				s.slots = append(s.slots, sl)
@@ -338,24 +301,29 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 }
 
-// prefillTimes memoizes the compute splits the lower bounds of a
-// (batch, grid) pair's leaves read: one per candidate micro-batch size.
-func (s *search) prefillTimes(B int, g grid.Grid, micros []int) {
-	s.cc.fill(g, B)
-	for _, m := range micros {
-		if m >= 1 && B%m == 0 {
-			s.cc.fill(g, B/m)
-		}
+// fcGradFloor returns the memoized ∆W floor of the closed form's lower
+// bound for (g, pl): the FC layers' Model-strategy gradient all-reduce
+// (costmodel.Env.FCGradReduceSeconds), which every mode pays. The floor
+// sharpens the bound only where the closed form serializes communication
+// after compute, and only on a uniform topology, where it is a closed
+// form. On a hierarchical topology the floor builds a pricer per (grid,
+// placement) — measured at 8–10% of pricing an Auto-mode AlexNet
+// candidate outright on two levels and 15–19% on three (P 512–4096), for
+// exactly one M=1 leaf each — and a sharper bound there would move
+// SearchStats' Bounded counts, so the compute-only bound stands alone
+// (the floor is 0).
+func (s *search) fcGradFloor(g grid.Grid, pl grid.Placement) float64 {
+	topo := s.opts.topology()
+	if !topo.Uniform() {
+		return 0
 	}
-}
-
-func (s *search) fillFloor(g grid.Grid, pl grid.Placement) {
 	k := floorKey{g.Pr, g.Pc, pl}
-	if _, ok := s.floors[k]; ok {
-		return
+	f, ok := s.floors[k]
+	if !ok {
+		f = costmodel.Env{Topo: topo, Placement: pl}.FCGradReduceSeconds(s.net, g)
+		s.floors[k] = f
 	}
-	env := costmodel.Env{Topo: s.opts.topology(), Placement: pl}
-	s.floors[k] = env.FCGradReduceSeconds(s.net, g)
+	return f
 }
 
 // lowerBound returns a monotone lower bound on the leaf's objective
@@ -382,14 +350,14 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 	}
 	mb := lf.B / lf.micro
 	scale := s.objectiveScale(lf.B)
-	gt := s.cc.peek(g, mb)
+	gt := s.timesFor(g, mb)
 	fixed := o.Compute.FixedIter
 	M := float64(lf.micro)
 	if lf.S == 1 {
 		if lf.micro == 1 {
 			lb := gt.total + gt.overhead
 			if !o.UseTimeline && !o.Overlap {
-				lb += s.floors[floorKey{g.Pr, g.Pc, lf.pl}]
+				lb += s.fcGradFloor(g, lf.pl)
 			}
 			return lb * scale, true
 		}
@@ -448,62 +416,29 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 		st.InfeasiblePruned++
 		return p
 	}
-	if o.UseTimeline || lf.S > 1 || lf.micro > 1 {
-		s.simulate(&p, lf.part, st)
-	} else {
-		s.closedForm(&p, st)
-	}
+	s.price(&p, lf.part, st)
 	return p
 }
 
-// closedForm prices a structurally feasible single-stage M = 1 plan with
-// the paper's aggregate closed form: the Eq. 3–9 breakdown, the grid
-// compute time, and the legacy Overlap flag.
-func (s *search) closedForm(p *Plan, st *SearchStats) {
-	o := s.opts
-	B, g := p.Batch, p.Grid
-	priceStart := time.Now()
-	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
-	// One placement classification serves the Auto-mode assignment, the
-	// breakdown and the Eq. 6 redistribution; the fixed modes price
-	// nothing before the memory check, so they bind only once it passes.
-	if o.Mode == Auto {
-		env = env.Bind(g)
-	}
-	p.Assignment = assignmentFor(s.net, B, g, o.Mode, env)
-	p.MemoryWords = costmodel.Memory(s.net, B, g, p.Assignment).TotalWords()
-	if s.overMemory(p, st, priceStart) {
-		return
-	}
-	if o.Mode != Auto {
-		env = env.Bind(g)
-	}
-	p.Feasible = true
-	p.Breakdown = env.FullIntegrated(s.net, B, g, p.Assignment)
-	p.CommSeconds = p.Breakdown.TotalSeconds()
-	st.Priced++
-	st.PriceSeconds += time.Since(priceStart).Seconds()
-	p.CompSeconds = o.Compute.GridIterTime(s.net, B, g)
-	p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, o.Overlap)
-	s.finish(p, env)
-}
-
-// simulate prices a structurally feasible plan with the timeline
-// simulator via costmodel.StageIteration: every stage's layers on the
-// shared grid at the stage's rank offset, boundary handoffs priced
-// against the topology level each cut crosses, memory pruned on the
-// tightest stage's footprint. The Eq. 3–9 re-pricing at micro-batch size
-// B/M happens inside StageIteration, so its whole duration is accounted
-// to the simulate phase (see SearchStats).
-func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
+// price prices a structurally feasible leaf. Every leaf takes the same
+// steps — the assignment at the micro-batch size B/M, the footprint of
+// its tightest stage (costmodel.MemoryStages, which is costmodel.Memory
+// at S = 1, M = 1), the memory check — and forks only where it is
+// scored. Timeline-scored leaves (UseTimeline, any S > 1 or M > 1) run
+// costmodel.StageIteration, a one-stage partition when S = 1, whose
+// Eq. 3–9 re-pricing is accounted to the simulate phase (see
+// SearchStats); the rest get the paper's closed-form M = 1 scoring (the
+// Figs. 6/7 setting): the Eq. 3–9 breakdown, the grid compute time, and
+// the legacy Overlap flag.
+func (s *search) price(p *Plan, part stage.Partition, st *SearchStats) {
 	o := s.opts
 	B, g, S, micro := p.Batch, p.Grid, p.Stages, p.MicroBatch
-	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: micro, Stages: S}
 	priceStart := time.Now()
 	env := costmodel.Env{Topo: o.topology(), Placement: p.Placement}
 	// One placement classification serves the Auto-mode assignment, the
-	// first stage (offset 0) and the Eq. 6 redistribution; as in
-	// closedForm, the fixed modes bind only after the memory check.
+	// pricing at offset 0 and the Eq. 6 redistribution; the fixed modes
+	// price nothing before the memory check, so they bind only once it
+	// passes.
 	if o.Mode == Auto {
 		env = env.Bind(g)
 	}
@@ -511,6 +446,7 @@ func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
 	// schedule actually runs: α-heavy small messages can flip a conv
 	// layer's cheapest strategy relative to the full-batch choice.
 	p.Assignment = assignmentFor(s.net, B/micro, g, o.Mode, env)
+	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: micro, Stages: S}
 	grids := make([]grid.Grid, S)
 	for k := range grids {
 		grids[k] = g
@@ -529,6 +465,16 @@ func (s *search) simulate(p *Plan, part stage.Partition, st *SearchStats) {
 		env = env.Bind(g)
 	}
 	st.Priced++
+	if !o.UseTimeline && S == 1 && micro == 1 {
+		p.Feasible = true
+		p.Breakdown = env.FullIntegrated(s.net, B, g, p.Assignment)
+		p.CommSeconds = p.Breakdown.TotalSeconds()
+		st.PriceSeconds += time.Since(priceStart).Seconds()
+		p.CompSeconds = o.Compute.GridIterTime(s.net, B, g)
+		p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, o.Overlap)
+		s.finish(p, env)
+		return
+	}
 	st.PriceSeconds += time.Since(priceStart).Seconds()
 	simStart := time.Now()
 	sc, err := env.StageIteration(s.net, B, part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)

@@ -40,11 +40,12 @@ type Improvement struct {
 //	EnumerateSeconds + PriceSeconds + SimulateSeconds ≤ WallSeconds
 //
 // EnumerateSeconds is measured directly around the candidate-generation
-// phase (work lists, memoized compute splits, partition enumeration);
-// PriceSeconds and SimulateSeconds are summed across the evaluation
-// workers and, when that cpu-time sum exceeds the evaluation phase's
-// wall clock (Options.Workers > 1), scaled down onto it so the split
-// stays a wall-clock attribution. The slack is the reduction and loop
+// phase (work lists, partition enumeration); PriceSeconds and
+// SimulateSeconds are summed across the evaluation workers and, when
+// that cpu-time sum exceeds the evaluation phase's wall clock
+// (Options.Workers > 1), scaled down onto it so the split stays a
+// wall-clock attribution. The slack is the lower-bound ordering pass
+// (with the compute splits it memoizes), the reduction and loop
 // bookkeeping. For every timeline-simulated candidate — S = 1 or
 // staged, any M — the Eq. 3–9 pricing (at micro-batch size B/M) happens
 // inside the costmodel.StageIteration call and is accounted to

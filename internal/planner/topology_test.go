@@ -10,6 +10,7 @@ import (
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -281,9 +282,9 @@ func TestOptimizeRejectsBadTopology(t *testing.T) {
 	}
 }
 
-// Pricing one Auto-mode candidate on a hierarchical topology — three
-// uniform breakdowns for the assignment, the final breakdown and the
-// Eq. 6 redistribution — classifies the candidate's placement once. The
+// Pricing one Auto-mode candidate on a hierarchical topology — the
+// per-layer terms of the assignment, the final breakdown and the Eq. 6
+// redistribution — classifies the candidate's placement once. The
 // same candidate on a uniform topology with the same group sizes takes
 // the flat pricer, so its allocations differ from the hierarchical one's
 // by exactly one span build; rebuilding the spans per call would show as
@@ -301,10 +302,11 @@ func TestAutoCandidateBuildsSpansOnce(t *testing.T) {
 		opts.Topology = topo
 		opts.AddRedistribution = true
 		s := newSearch(net, 2048, g.P(), opts)
+		part := stage.Balanced(len(net.WeightedLayers()), 1)
 		return testing.AllocsPerRun(5, func() {
 			var st SearchStats
 			p := Plan{Grid: g, Batch: 2048, Placement: grid.ColMajor, Mode: Auto, MicroBatch: 1, Stages: 1}
-			s.closedForm(&p, &st)
+			s.price(&p, part, &st)
 			if !p.Feasible {
 				t.Fatalf("candidate %v infeasible: %s", g, p.Reason)
 			}

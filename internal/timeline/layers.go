@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -307,6 +308,17 @@ func (r *Result) LaneName(res Resource) string {
 		}
 	}
 	return res.String()
+}
+
+// SpanLabel names a span as the Gantt chart and the Chrome trace show
+// it: "<kind> <layer name>", plus " µ<micro-batch>" when the schedule
+// ran more than one micro-batch.
+func (r *Result) SpanLabel(s *Span) string {
+	label := s.Kind.String() + " " + r.PerLayer[s.Layer].Name
+	if r.MicroBatches > 1 {
+		label += " µ" + strconv.Itoa(s.Micro)
+	}
+	return label
 }
 
 func summarize(layers []Layer, policy Policy, spans []Span, microBatches, stages int) *Result {

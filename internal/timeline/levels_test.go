@@ -12,7 +12,7 @@ func TestLevelsSelectLanes(t *testing.T) {
 	r := mustSimulate(t, flat, PolicyBackprop)
 	for _, s := range r.Spans {
 		if s.Resource == NetworkLevel(0) || s.Resource == NetworkLevel(1) {
-			t.Fatalf("flat layer scheduled %q on %v", s.Name, s.Resource)
+			t.Fatalf("flat layer scheduled %q on %v", r.SpanLabel(&s), s.Resource)
 		}
 	}
 
@@ -28,7 +28,7 @@ func TestLevelsSelectLanes(t *testing.T) {
 	for _, s := range r.Spans {
 		counts[s.Resource]++
 		if s.Resource == Network {
-			t.Fatalf("split layer scheduled %q on the flat Network lane", s.Name)
+			t.Fatalf("split layer scheduled %q on the flat Network lane", r.SpanLabel(&s))
 		}
 	}
 	if counts[NetworkLevel(0)] != 2 || counts[NetworkLevel(1)] != 2 {

@@ -228,16 +228,11 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 		if policy == PolicyNone && lastReal >= 0 {
 			d = append(d, lastReal)
 		}
-		name := fmt.Sprintf("%s %s", kind, layers[layer].Name)
-		if M > 1 {
-			name = fmt.Sprintf("%s µ%d", name, micro)
-		}
 		id := len(events)
 		events = append(events, Event{
 			ID:       id,
 			Layer:    layer,
 			Micro:    micro,
-			Name:     name,
 			Kind:     kind,
 			Resource: res,
 			Duration: dur,

@@ -264,11 +264,12 @@ func TestPipelineEventNamesCarryMicroLabels(t *testing.T) {
 	want := fmt.Sprintf("%s %s µ2", FwdComp, "stage1")
 	found := false
 	for _, sp := range res.Spans {
-		if sp.Name == want {
+		label := res.SpanLabel(&sp)
+		if label == want {
 			found = true
 		}
-		if !strings.Contains(sp.Name, "µ") {
-			t.Fatalf("event %q lacks a micro-batch label", sp.Name)
+		if !strings.Contains(label, "µ") {
+			t.Fatalf("event %q lacks a micro-batch label", label)
 		}
 	}
 	if !found {

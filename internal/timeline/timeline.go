@@ -161,11 +161,15 @@ type Event struct {
 	ID       int
 	Layer    int // index into the Layer slice handed to Simulate
 	Micro    int // micro-batch index (0 in single-iteration schedules)
-	Name     string
 	Kind     Kind
 	Resource Resource
 	Duration float64
 	Deps     []int // event IDs that must complete before this event starts
+}
+
+// describe names an event in Simulate's errors: its ID, kind and layer.
+func (e *Event) describe() string {
+	return fmt.Sprintf("%d (%v, layer %d)", e.ID, e.Kind, e.Layer)
 }
 
 // Span is a scheduled event.
@@ -224,11 +228,11 @@ func Simulate(events []Event) ([]Span, error) {
 			return nil, fmt.Errorf("timeline: event %d has ID %d; IDs must be dense and ordered", i, events[i].ID)
 		}
 		if events[i].Duration < 0 || math.IsNaN(events[i].Duration) {
-			panic(fmt.Sprintf("timeline: event %q has invalid duration %g", events[i].Name, events[i].Duration))
+			panic(fmt.Sprintf("timeline: event %s has invalid duration %g", events[i].describe(), events[i].Duration))
 		}
 		for _, d := range events[i].Deps {
 			if d < 0 || d >= len(events) {
-				return nil, fmt.Errorf("timeline: event %q depends on unknown event %d", events[i].Name, d)
+				return nil, fmt.Errorf("timeline: event %s depends on unknown event %d", events[i].describe(), d)
 			}
 		}
 	}
