@@ -240,7 +240,7 @@ func modelLayerCost(net *nn.Network, li, B int, pr *pricer, first bool) LayerCos
 
 // FCGradReduceSeconds returns the summed ∆W all-reduce seconds of the
 // network's fully-connected layers under the Model strategy on grid g —
-// the exact row-group all-reduce modelLayerCost charges them. Every
+// the GradReduce term of their Eq. 9 layer cost. Every
 // planner mode assigns Model to FC layers (domain halos there would ship
 // whole activation panels, and conv-batch applies only to conv layers),
 // so for a fixed (grid, placement) this sum is a monotone additive floor
@@ -251,11 +251,11 @@ func (e Env) FCGradReduceSeconds(net *nn.Network, g grid.Grid) float64 {
 	pr := e.pricerAt(g, 0)
 	var secs float64
 	for _, li := range net.WeightedLayers() {
-		l := &net.Layers[li]
-		if l.Kind != nn.FC {
-			continue
+		if net.Layers[li].Kind == nn.FC {
+			// The ∆W all-reduce is batch-independent: any B prices it.
+			lc := pr.layer(net, li, g.Pc, Model, false)
+			secs += lc.GradReduce.Total()
 		}
-		secs += pr.allReduce(pr.row, float64(l.Weights())/float64(g.Pr)).Total()
 	}
 	return secs
 }

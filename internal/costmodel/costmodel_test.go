@@ -304,8 +304,8 @@ func TestDomainBeatsModelOnEarlyLayers(t *testing.T) {
 	g := grid.Grid{Pr: 4, Pc: 128}
 	conv1 := net.ConvLayers()[0]
 	pr := onFlat(knl()).pricerAt(g, 0)
-	mc := modelLayerCost(net, conv1, 512, pr, false).Total().Total()
-	dc := domainLayerCost(net, conv1, 512, pr).Total().Total()
+	mc := pr.layer(net, conv1, 512, Model, false).Total().Total()
+	dc := pr.layer(net, conv1, 512, Domain, false).Total().Total()
 	if dc >= mc {
 		t.Fatalf("conv1: domain %g should beat model %g", dc, mc)
 	}
@@ -317,7 +317,7 @@ func TestDomainFreeFor1x1Conv(t *testing.T) {
 	pr := onFlat(knl()).pricerAt(grid.Grid{Pr: 4, Pc: 4}, 0)
 	for _, li := range net.ConvLayers() {
 		l := &net.Layers[li]
-		lc := domainLayerCost(net, li, 64, pr)
+		lc := pr.layer(net, li, 64, Domain, false)
 		if l.KH == 1 && l.KW == 1 && lc.Halo().Total() != 0 {
 			t.Fatalf("%s: 1×1 conv should have zero halo, got %g", l.Name, lc.Halo().Total())
 		}
@@ -334,8 +334,8 @@ func TestDomainFCIsExpensive(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 64}
 	fc6 := net.FCLayers()[0]
 	pr := onFlat(knl()).pricerAt(g, 0)
-	mc := modelLayerCost(net, fc6, 2048, pr, false).Total().Total()
-	dc := domainLayerCost(net, fc6, 2048, pr).Total().Total()
+	mc := pr.layer(net, fc6, 2048, Model, false).Total().Total()
+	dc := pr.layer(net, fc6, 2048, Domain, false).Total().Total()
 	if dc <= mc {
 		t.Fatalf("fc6: domain %g should be worse than model %g", dc, mc)
 	}

@@ -423,13 +423,15 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 // price prices a structurally feasible leaf. Every leaf takes the same
 // steps — the assignment at the micro-batch size B/M, the footprint of
 // its tightest stage (costmodel.MemoryStages, which is costmodel.Memory
-// at S = 1, M = 1), the memory check — and forks only where it is
-// scored. Timeline-scored leaves (UseTimeline, any S > 1 or M > 1) run
-// costmodel.StageIteration, a one-stage partition when S = 1, whose
-// Eq. 3–9 re-pricing is accounted to the simulate phase (see
-// SearchStats); the rest get the paper's closed-form M = 1 scoring (the
-// Figs. 6/7 setting): the Eq. 3–9 breakdown, the grid compute time, and
-// the legacy Overlap flag.
+// at S = 1, M = 1), the memory check against Options.MemoryLimitWords,
+// the score, then the Eq. 6 redistribution, the exposed communication,
+// the epoch time and the time-to-accuracy campaign — and forks only
+// where it is scored. Timeline-scored leaves (UseTimeline, any S > 1 or
+// M > 1) run costmodel.StageIteration, a one-stage partition when
+// S = 1, whose Eq. 3–9 re-pricing is accounted to the simulate phase
+// (see SearchStats); the rest get the paper's closed-form M = 1 scoring
+// (the Figs. 6/7 setting): the Eq. 3–9 breakdown, the grid compute
+// time, and the legacy Overlap flag.
 func (s *search) price(p *Plan, part stage.Partition, st *SearchStats) {
 	o := s.opts
 	B, g, S, micro := p.Batch, p.Grid, p.Stages, p.MicroBatch
@@ -458,7 +460,10 @@ func (s *search) price(p *Plan, part stage.Partition, st *SearchStats) {
 			p.MemoryWords = w
 		}
 	}
-	if s.overMemory(p, st, priceStart) {
+	if limit := o.MemoryLimitWords; limit > 0 && p.MemoryWords > limit {
+		p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g", p.MemoryWords, limit)
+		st.MemoryPruned++
+		st.PriceSeconds += time.Since(priceStart).Seconds()
 		return
 	}
 	if o.Mode != Auto {
@@ -466,60 +471,37 @@ func (s *search) price(p *Plan, part stage.Partition, st *SearchStats) {
 	}
 	st.Priced++
 	if !o.UseTimeline && S == 1 && micro == 1 {
-		p.Feasible = true
 		p.Breakdown = env.FullIntegrated(s.net, B, g, p.Assignment)
 		p.CommSeconds = p.Breakdown.TotalSeconds()
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		p.CompSeconds = o.Compute.GridIterTime(s.net, B, g)
 		p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, o.Overlap)
-		s.finish(p, env)
-		return
-	}
-	st.PriceSeconds += time.Since(priceStart).Seconds()
-	simStart := time.Now()
-	sc, err := env.StageIteration(s.net, B, part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)
-	st.TimelineSimulated++
-	st.SimulateSeconds += time.Since(simStart).Seconds()
-	if err != nil {
-		p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
-		return
+	} else {
+		st.PriceSeconds += time.Since(priceStart).Seconds()
+		simStart := time.Now()
+		sc, err := env.StageIteration(s.net, B, part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)
+		st.TimelineSimulated++
+		st.SimulateSeconds += time.Since(simStart).Seconds()
+		if err != nil {
+			p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
+			return
+		}
+		p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
+		p.Timeline = sc.Result
+		p.BubbleFraction = sc.Result.BubbleFraction
+		if S > 1 {
+			p.PerStage = sc.Stages
+		}
+		p.CommSeconds = sc.Result.CommSeconds // M·activations + 1·gradient flush
+		p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
+		p.IterSeconds = sc.IterSeconds()
 	}
 	p.Feasible = true
-	p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
-	p.Timeline = sc.Result
-	p.BubbleFraction = sc.Result.BubbleFraction
-	if S > 1 {
-		p.PerStage = sc.Stages
-	}
-	p.CommSeconds = sc.Result.CommSeconds // M·activations + 1·gradient flush
-	p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
-	p.IterSeconds = sc.IterSeconds()
-	s.finish(p, env)
-}
-
-// overMemory rejects a plan whose per-process footprint exceeds
-// Options.MemoryLimitWords, charging the pricing time spent so far.
-func (s *search) overMemory(p *Plan, st *SearchStats, priceStart time.Time) bool {
-	limit := s.opts.MemoryLimitWords
-	if limit <= 0 || p.MemoryWords <= limit {
-		return false
-	}
-	p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g", p.MemoryWords, limit)
-	st.MemoryPruned++
-	st.PriceSeconds += time.Since(priceStart).Seconds()
-	return true
-}
-
-// finish completes a priced plan: the Eq. 6 redistribution, the exposed
-// communication, the epoch time, and the time-to-accuracy campaign.
-func (s *search) finish(p *Plan, env costmodel.Env) {
-	o := s.opts
-	B := p.Batch
 	if o.AddRedistribution {
 		// Activations are redistributed at every strategy boundary of
 		// every micro-batch; the all-gathers block the next layer's
 		// compute, so they are never overlapped.
-		r := float64(p.MicroBatch) * env.RedistributionSeconds(s.net, B/p.MicroBatch, p.Grid, p.Assignment)
+		r := float64(micro) * env.RedistributionSeconds(s.net, B/micro, g, p.Assignment)
 		p.CommSeconds += r
 		p.IterSeconds += r
 	}
